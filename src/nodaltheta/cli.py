@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from .arcs import (
-    Arc,
     ArcInsideDivisor,
     arc_contact,
     general_arc_contact,
@@ -55,14 +54,27 @@ from .multiplicity import (
     check_eqnmat,
     hilbert_samuel,
     mult_divisor_branchsum,
-    mult_model,
     ord_at_origin,
 )
 from .parsing import parse_series
 from .series import INFINITE, PowerSeries
 
-DEFAULT_N = int(os.environ.get("NODALTHETA_N", "16"))
-DEFAULT_TMAX = int(os.environ.get("NODALTHETA_TMAX", "10"))
+# Defaults of --N/--truncation and --tmax; NODALTHETA_N and NODALTHETA_TMAX
+# override them, read when a command is dispatched so that a bad value is an
+# input error (exit 2), not an import-time traceback.
+DEFAULT_N = 16
+DEFAULT_TMAX = 10
+
+
+def _env_int(name: str, default: int) -> int:
+    """Integer default from the environment, read when a command runs."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise PreconditionError(name, f"expected an integer, found {text!r}") from None
 
 
 # -- JSON helpers ------------------------------------------------------------
@@ -496,7 +508,7 @@ def cmd_golden(args) -> dict:
 # -- parser / dispatch ---------------------------------------------------------
 
 
-def _add_model_element_flags(parser, with_truncation=True):
+def _add_model_element_flags(parser, default_n, with_truncation=True):
     parser.add_argument("--model", required=True, help='model, e.g. "n=1,m=1"')
     parser.add_argument("--f", required=True, help="divisor equation over u_i, v_i, w_i")
     parser.add_argument(
@@ -504,7 +516,7 @@ def _add_model_element_flags(parser, with_truncation=True):
     )
     if with_truncation:
         parser.add_argument(
-            "--truncation", type=int, default=DEFAULT_N, help="series truncation degree"
+            "--truncation", type=int, default=default_n, help="series truncation degree"
         )
 
 
@@ -513,7 +525,7 @@ def _add_ringspec_flags(parser):
     parser.add_argument("--rel", action="append", help="ideal relation (repeatable)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(default_n: int, default_tmax: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nodaltheta",
         description="Exact local multiplicity invariants on nodal models and "
@@ -522,20 +534,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mult", help="branch-sum multiplicity of a divisor")
-    _add_model_element_flags(p)
+    _add_model_element_flags(p, default_n)
     p.add_argument("--with-hs", action="store_true", help="cross-check with the oracle")
-    p.add_argument("--tmax", type=int, default=DEFAULT_TMAX)
+    p.add_argument("--tmax", type=int, default=default_tmax)
     p.set_defaults(handler=cmd_mult)
 
     p = sub.add_parser("ord", help="order of vanishing at the origin")
-    _add_model_element_flags(p)
+    _add_model_element_flags(p, default_n)
     p.set_defaults(handler=cmd_ord)
 
     p = sub.add_parser("hs", help="Hilbert-Samuel table of a quotient ring")
     _add_ringspec_flags(p)
     p.add_argument("--f", help="optional divisor equation")
-    p.add_argument("--tmax", type=int, default=DEFAULT_TMAX)
-    p.add_argument("--truncation", type=int, default=DEFAULT_N)
+    p.add_argument("--tmax", type=int, default=default_tmax)
+    p.add_argument("--truncation", type=int, default=default_n)
     p.set_defaults(handler=cmd_hs)
 
     p = sub.add_parser("arc", help="contact order of a divisor along an arc")
@@ -548,9 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--through-z", action="store_true", help="restrict to the locally trivial locus"
     )
-    p.add_argument("--N", type=int, default=DEFAULT_N)
+    p.add_argument("--N", type=int, default=default_n)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--truncation", type=int, default=DEFAULT_N)
+    p.add_argument("--truncation", type=int, default=default_n)
     p.set_defaults(handler=cmd_arc)
 
     p = sub.add_parser("arcs-sample", help="random-arc lower bound check")
@@ -560,9 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", help="divisor equation")
     p.add_argument("--param", help='parametrization hook, e.g. "x:s^2,y:s^3"')
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--N", type=int, default=DEFAULT_N)
+    p.add_argument("--N", type=int, default=default_n)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--truncation", type=int, default=DEFAULT_N)
+    p.add_argument("--truncation", type=int, default=default_n)
     p.set_defaults(handler=cmd_arcs_sample)
 
     p = sub.add_parser("curve-h0", help="cohomology of a sheaf on a nodal curve")
@@ -585,14 +597,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sheaf", required=True)
     p.add_argument("--family", help="family JSON (default: build a minimal family)")
     p.add_argument("--aux", help="pin the auxiliary divisor, e.g. [2]")
-    p.add_argument("--N", type=int, default=DEFAULT_N)
+    p.add_argument("--N", type=int, default=default_n)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_family)
 
     p = sub.add_parser("verify-A", help="cross-checked multiplicity identity")
     p.add_argument("--curve", required=True)
     p.add_argument("--sheaf", required=True)
-    p.add_argument("--N", type=int, default=DEFAULT_N)
+    p.add_argument("--N", type=int, default=default_n)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--families", type=int, default=3)
     p.set_defaults(handler=cmd_verify_A)
@@ -605,7 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> dict:
-    parser = build_parser()
+    parser = build_parser(
+        _env_int("NODALTHETA_N", DEFAULT_N), _env_int("NODALTHETA_TMAX", DEFAULT_TMAX)
+    )
     args = parser.parse_args(argv)
     return args.handler(args)
 

@@ -451,6 +451,7 @@ class FamilyCohomology:
     exponents: Tuple[int, ...]
     theta_order: int
     aux_points: Tuple[Fraction, ...]
+    precision: int  # working truncation that resolved the family, <= N
 
 
 def _unit_product(
@@ -462,6 +463,88 @@ def _unit_product(
         const = PowerSeries.univariate({0: c}, truncation)
         result = result * (const - trajectory)
     return result
+
+
+def _gluing_rows(
+    curve: RationalNodalCurve,
+    family: SheafFamily,
+    aux: Sequence[Fraction],
+    ncols: int,
+    truncation: int,
+) -> List[List[PowerSeries]]:
+    """Gluing conditions on sections of the family twisted by E, mod t^(truncation+1)."""
+    rows = []
+    for j, lam_series in family.gluing_series:
+        p, q = curve.nodes[j]
+        scalar = Fraction(1)
+        for m in family.moving:
+            scalar *= (q - m.base) / (p - m.base)
+        for e in aux:
+            scalar *= (p - e) / (q - e)
+        numerator = _unit_product(
+            [(p, m.trajectory) for m in family.moving], truncation
+        )
+        denominator = _unit_product(
+            [(q, m.trajectory) for m in family.moving], truncation
+        )
+        twisted = (
+            lam_series.truncate(truncation)
+            * numerator
+            * denominator.invert_unit()
+        ).scale(scalar)
+        row = []
+        for i in range(ncols):
+            entry = PowerSeries.univariate({0: p**i}, truncation) - twisted.scale(q**i)
+            row.append(entry)
+        rows.append(row)
+    return rows
+
+
+def _evaluate_family(
+    aux: Sequence[Fraction],
+    rows: List[List[PowerSeries]],
+    ncols: int,
+    truncation: int,
+) -> FamilyCohomology:
+    """Sections of the twisted family, evaluated at E and diagonalized."""
+    g = len(aux)
+    sections = kernel_basis(rows, ncols, truncation)
+    if len(sections) != g:
+        raise VerificationError(
+            f"section module has rank {len(sections)}, expected {g}"
+        )
+    phi = []
+    for e in aux:
+        phi_row = []
+        powers = [e**i for i in range(ncols)]
+        for section in sections:
+            value = PowerSeries.zero(("t",), truncation)
+            for power, coeff_series in zip(powers, section):
+                if not coeff_series.is_zero():
+                    value = value + coeff_series.scale(power)
+            phi_row.append(value)
+        phi.append(phi_row)
+
+    determinant = matrix_det(phi)
+    if determinant.is_zero():
+        raise IndeterminateAtTruncation(truncation)
+    exponents = tuple(smith_exponents(phi))
+    theta_order = sum(exponents)
+    if theta_order != determinant.order():
+        raise VerificationError(
+            f"elementary divisors sum to {theta_order} but det has order "
+            f"{determinant.order()}"
+        )
+    h0_rank = g - rank_dense(constant_matrix(phi))
+    if h0_rank != sum(1 for e in exponents if e >= 1):
+        raise VerificationError("corank at t=0 disagrees with positive exponents")
+    return FamilyCohomology(
+        h0_rank=h0_rank,
+        exponents=exponents,
+        theta_order=theta_order,
+        aux_points=tuple(aux),
+        precision=truncation,
+    )
 
 
 def family_cohomology(
@@ -482,16 +565,21 @@ def family_cohomology(
     divisor exponents, equivalently the t-order of its determinant.
 
     E is drawn from the seed and re-drawn on degeneracy; `aux_points` pins
-    it instead (no redraws).
+    it instead (no redraws).  Whether E is degenerate depends only on t = 0.
+
+    The family is solved at working truncations w = 1, 2, 4, ..., N (the
+    family's truncation) and the first w that resolves is returned, with
+    every cross-check applied at that w.  Unit-pivot elimination mod
+    t^(w+1) is the reduction of the same elimination mod t^(N+1), so a
+    determinant that is nonzero mod t^(w+1) yields the exponents of the
+    full computation.  `IndeterminateAtTruncation` is raised only at N.
     """
     curve.require_finite()
     family.validate_for(curve)
     _require_theta_degree(curve, family.sheaf)
     g = curve.genus
     n_trunc = family.truncation
-    sheaf = family.sheaf
-    d = sheaf.line_degree
-    ncols = d + g + 1
+    ncols = family.sheaf.line_degree + g + 1
     rng = random.Random(seed)
     avoid = set(curve.node_points()) | {m.base for m in family.moving}
     if aux_points is not None:
@@ -518,71 +606,20 @@ def family_cohomology(
                 seen.add(point)
                 aux.append(point)
 
-        rows = []
-        for j, lam_series in family.gluing_series:
-            p, q = curve.nodes[j]
-            scalar = Fraction(1)
-            for m in family.moving:
-                scalar *= (q - m.base) / (p - m.base)
-            for e in aux:
-                scalar *= (p - e) / (q - e)
-            numerator = _unit_product(
-                [(p, m.trajectory) for m in family.moving], n_trunc
-            )
-            denominator = _unit_product(
-                [(q, m.trajectory) for m in family.moving], n_trunc
-            )
-            twisted = (
-                lam_series.truncate(n_trunc)
-                * numerator
-                * denominator.invert_unit()
-            ).scale(scalar)
-            row = []
-            for i in range(ncols):
-                entry = PowerSeries.univariate({0: p**i}, n_trunc) - twisted.scale(q**i)
-                row.append(entry)
-            rows.append(row)
-
+        precision = min(1, n_trunc)
+        rows = _gluing_rows(curve, family, aux, ncols, precision)
         if rows and rank_dense(constant_matrix(rows)) < len(rows):
             last_failure = "rank"
             continue
 
-        sections = kernel_basis(rows, ncols, n_trunc)
-        if len(sections) != g:
-            raise VerificationError(
-                f"section module has rank {len(sections)}, expected {g}"
-            )
-        phi = []
-        for e in aux:
-            phi_row = []
-            powers = [e**i for i in range(ncols)]
-            for section in sections:
-                value = PowerSeries.zero(("t",), n_trunc)
-                for power, coeff_series in zip(powers, section):
-                    if not coeff_series.is_zero():
-                        value = value + coeff_series.scale(power)
-                phi_row.append(value)
-            phi.append(phi_row)
-
-        determinant = matrix_det(phi)
-        if determinant.is_zero():
-            raise IndeterminateAtTruncation(n_trunc)
-        exponents = tuple(smith_exponents(phi))
-        theta_order = sum(exponents)
-        if theta_order != determinant.order():
-            raise VerificationError(
-                f"elementary divisors sum to {theta_order} but det has order "
-                f"{determinant.order()}"
-            )
-        h0_rank = g - rank_dense(constant_matrix(phi))
-        if h0_rank != sum(1 for e in exponents if e >= 1):
-            raise VerificationError("corank at t=0 disagrees with positive exponents")
-        return FamilyCohomology(
-            h0_rank=h0_rank,
-            exponents=exponents,
-            theta_order=theta_order,
-            aux_points=tuple(aux),
-        )
+        while True:
+            try:
+                return _evaluate_family(aux, rows, ncols, precision)
+            except IndeterminateAtTruncation:
+                if precision == n_trunc:
+                    raise
+            precision = min(2 * precision, n_trunc)
+            rows = _gluing_rows(curve, family, aux, ncols, precision)
     raise PreconditionError(
         "aux-divisor-degenerate",
         f"no auxiliary divisor with vanishing h1 found in {budget} draws "

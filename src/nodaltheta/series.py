@@ -164,10 +164,6 @@ class PowerSeries:
         form = {e: c for e, c in self.coefficients.items() if sum(e) == nu}
         return LeadingForm(nu, PowerSeries(self.variables, form, self.truncation))
 
-    def homogeneous_part(self, degree: int) -> "PowerSeries":
-        part = {e: c for e, c in self.coefficients.items() if sum(e) == degree}
-        return PowerSeries(self.variables, part, self.truncation)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_compatible(self, other: "PowerSeries") -> int:
@@ -268,8 +264,18 @@ class PowerSeries:
         if not isinstance(exponent, int) or exponent < 0:
             raise PreconditionError("exponent", "powers must be nonnegative integers")
         result = PowerSeries.constant(self.variables, 1, self.truncation)
-        for _ in range(exponent):
-            result = result * self
+        order = self.order()
+        if exponent and (order is INFINITE or order * exponent > self.truncation):
+            return PowerSeries.zero(self.variables, self.truncation)
+        # Square and multiply: O(log exponent) products, exact in the
+        # truncated ring, so the result equals the exponent-fold product.
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def __eq__(self, other):

@@ -1,7 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import nodaltheta
 
 from nodaltheta.cli import canonical_json, dispatch, golden_suite, main
 
@@ -136,6 +142,39 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["error"] == "verification"
 
+
+    @pytest.mark.parametrize("name", ["NODALTHETA_N", "NODALTHETA_TMAX"])
+    def test_bad_environment_is_exit_2(self, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        code, out, err = run(capsys, ["ord", "--model", "n=1,m=0", "--f", "u1*v1"])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == name
+        assert "'abc'" in diagnostic["message"]
+
+    def test_environment_sets_default_truncation(self, capsys, monkeypatch):
+        monkeypatch.setenv("NODALTHETA_N", "8")
+        code, out, _ = run(capsys, ["family", "--curve", CURVE_G1, "--sheaf", SHEAF_TRIVIAL])
+        assert code == 0
+        assert json.loads(out)["N"] == 8
+
+
+class TestLargePowers:
+    """Powers cost O(log e) products and vanish early past the truncation."""
+
+    @pytest.mark.parametrize("expression", ["w1^100000000", "(1+w1)^100000"])
+    def test_large_exponent_finishes(self, expression):
+        src = str(Path(nodaltheta.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["ord", "--model", "n=1,m=1", "--f", expression]
+        done = subprocess.run(
+            [sys.executable, "-m", "nodaltheta.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["ord"] == ("Infinite" if expression.startswith("w1") else 0)
 
 class TestGoldenSuite:
     def test_shipped_cases_pass(self):

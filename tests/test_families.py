@@ -307,6 +307,64 @@ class TestCokernelOracle:
         assert 2 in orders_seen
 
 
+class TestPrecisionLadder:
+    """Reparametrizing t -> t^k multiplies every elementary divisor by k.
+
+    Replacing each trajectory b + v*t of a minimal family by b + v*t^k gives
+    contact orders k*h0 = 1..16, so every working truncation 1, 2, 4, 8, 16
+    of the ladder is the one that resolves some family.
+    """
+
+    CASES = [
+        (((0, 1), (2, 3)), ([0], 0, {1: 1})),  # h0 = 1
+        (((0, 4), (1, 3), (-1, 5)), ([], 2, {0: 1, 1: 1, 2: 1})),  # h0 = 2
+    ]
+
+    @staticmethod
+    def _reparametrized(family, k):
+        moving = [
+            MovingPoint(
+                base=m.base,
+                trajectory=PowerSeries.univariate(
+                    {0: m.base, k: m.trajectory.coefficient((1,))}, family.truncation
+                ),
+            )
+            for m in family.moving
+        ]
+        return SheafFamily.make(
+            family.sheaf, family.truncation, dict(family.gluing_series), moving
+        )
+
+    @pytest.mark.parametrize("nodes,data", CASES)
+    def test_orders_scale_across_every_rung(self, nodes, data):
+        curve = curve_of(*nodes)
+        sheaf = sheaf_of(*data)
+        h0_value = cohomology(curve, sheaf)[0]
+        family = make_minimal_family(curve, sheaf, 16, seed=0)
+        base = family_cohomology(curve, family, seed=1)
+        assert base.theta_order == h0_value
+        for k in range(1, 9):
+            result = family_cohomology(curve, self._reparametrized(family, k), seed=1)
+            assert result.theta_order == k * h0_value
+            assert result.exponents == tuple(k * e for e in base.exponents)
+            assert result.aux_points == base.aux_points
+            # the first rung at or above the contact order resolves, so
+            # contact orders up to 8 never reach the requested N = 16
+            assert result.precision == min(w for w in (1, 2, 4, 8, 16) if w >= k * h0_value)
+
+    @pytest.mark.parametrize("nodes,data", CASES)
+    def test_indeterminate_only_at_requested_truncation(self, nodes, data):
+        curve = curve_of(*nodes)
+        sheaf = sheaf_of(*data)
+        h0_value = cohomology(curve, sheaf)[0]
+        family = make_minimal_family(curve, sheaf, 16, seed=0)
+        k = 16 // h0_value + 1
+        with pytest.raises(IndeterminateAtTruncation) as info:
+            family_cohomology(curve, self._reparametrized(family, k), seed=1)
+        assert info.value.truncation == 16
+        assert info.value.at_least == 17
+
+
 class TestVerifyTheoremA:
     def test_boundary_case(self):
         curve = curve_of((0, 1), (2, 3))

@@ -44,6 +44,18 @@ class TestArithmetic:
         assert ps("x") * Fraction(3, 2) == ps("3/2 * x")
 
 
+    def test_power_equals_repeated_product(self):
+        for base in (ps("1 + x - 2*y"), ps("x + y^2"), ps("3/2"), ps("0")):
+            product = PowerSeries.constant(base.variables, 1, base.truncation)
+            for e in range(12):
+                assert base**e == product
+                product = product * base
+
+    def test_power_past_truncation_vanishes(self):
+        assert ps("x + y") ** 11 == PowerSeries.zero(("x", "y"), 10)
+        assert ps("x^2") ** 10**9 == PowerSeries.zero(("x", "y"), 10)
+        assert ps("x") ** 10 == ps("x^10")
+
 class TestOrder:
     def test_linear_term_present(self):
         assert ps("y - x^2").order() == 1
