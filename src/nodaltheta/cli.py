@@ -93,12 +93,27 @@ def rational_from_json(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        num, slash, den = value.strip().partition("/")
+        try:
+            num, den = int(num), int(den) if slash else 1
+        except ValueError:
+            raise PreconditionError("json", f"cannot read rational from {value!r}") from None
+        if den == 0:
+            raise PreconditionError("json", f"zero denominator in {value!r}")
+        return Fraction(num, den)
     raise PreconditionError("json", f"cannot read rational from {value!r}")
+
+
+def _int_from_json(value, check: str) -> int:
+    """An integer written as a JSON integer or a decimal string."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise PreconditionError(check, f"expected an integer, found {value!r}")
 
 
 def order_to_json(value):
@@ -124,13 +139,15 @@ def parse_model_flag(text: str) -> LocalModel:
     text = text.strip()
     if text.startswith("{"):
         payload = json.loads(text)
-        return LocalModel(int(payload["n"]), int(payload["m"]))
+        return LocalModel(
+            _int_from_json(payload["n"], "model"), _int_from_json(payload["m"], "model")
+        )
     values = {}
     for part in text.split(","):
         if "=" not in part:
             raise PreconditionError("model", f"bad model component {part!r}")
         key, _, value = part.partition("=")
-        values[key.strip()] = int(value)
+        values[key.strip()] = _int_from_json(value, "model")
     unknown = set(values) - {"n", "m"}
     if unknown:
         raise PreconditionError("model", f"unknown model keys {sorted(unknown)}")
@@ -156,18 +173,19 @@ def load_curve(text_or_path: str) -> RationalNodalCurve:
 def load_sheaf(text_or_path: str) -> TFSheaf:
     payload = _load_json(text_or_path)
     gluing = {
-        int(j): rational_from_json(v) for j, v in payload.get("glue", {}).items()
+        _int_from_json(j, "sheaf"): rational_from_json(v)
+        for j, v in payload.get("glue", {}).items()
     }
     return TFSheaf.make(
-        [int(j) for j in payload.get("nonfree", [])],
-        int(payload["dL"]),
+        [_int_from_json(j, "sheaf") for j in payload.get("nonfree", [])],
+        _int_from_json(payload["dL"], "sheaf"),
         gluing,
     )
 
 
 def load_family(text_or_path: str, sheaf: TFSheaf, truncation: int) -> SheafFamily:
     payload = _load_json(text_or_path)
-    n = int(payload.get("N", truncation))
+    n = _int_from_json(payload.get("N", truncation), "family")
     gluing_series = {}
     for j, expr in payload.get("glueSeries", {}).items():
         gluing_series[int(j)] = parse_series(str(expr), ("t",), n)

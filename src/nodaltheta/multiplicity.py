@@ -6,19 +6,24 @@ Two independent routes are provided and cross-checked in the tests:
   divisor is the sum of the orders of its 2^n branch projections, and
 * a brute-force Hilbert-Samuel oracle for arbitrary power-series quotients,
   which reads the dimension and the normalized leading coefficient off the
-  finite differences of H(t) = dim_k O / (ideal + m^(t+1)).
+  finite differences of H(t) = dim_k O / (ideal + m^(t+1)).  The whole
+  table up to t_max comes from one integer elimination over columns in
+  degree order, and a difference row counts as stabilized only on degrees
+  at or above the largest generator order.
 
 The closed form for the standard model itself is 2^n.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Dict, List, Optional, Tuple
+from operator import mul
+from typing import List, Optional, Tuple
 
 from .errors import PreconditionError
-from .linalg import rank_sparse
+from .linalg import pivot_columns, primitive
 from .localmodel import BranchOrder, LocalModel, ModelElement, branch_orders
 from .series import INFINITE, Order, PowerSeries
 
@@ -149,12 +154,17 @@ def _stable_tail(row: List[int]) -> Optional[int]:
 def hilbert_samuel(spec: RingSpec, t_max: int = 10) -> HilbertSamuelTable:
     """Brute-force Hilbert-Samuel function of the quotient ring.
 
-    H(t) is the number of monomials of total degree <= t minus the rank over
-    Q of the span of all products (monomial) * (ideal generator) truncated at
-    degree t; coefficients beyond degree t are irrelevant modulo m^(t+1).
-    The dimension is the smallest d whose d-th finite differences stabilize
-    to a nonzero constant (at least 3 consecutive agreements), and the
-    multiplicity is that constant.
+    H(t) = dim_Q O / (ideal + m^(t+1)) for every t <= t_max, from one
+    elimination.  The rows are all products (monomial) * (ideal generator)
+    truncated at degree t_max, over columns numbered in degree order.  An
+    echelon row whose pivot has degree > t vanishes in every degree <= t, so
+    H(t) is the number of monomials of degree <= t minus the number of pivots
+    of degree <= t.  The dimension is the smallest d whose d-th finite
+    differences end in at least 3 equal nonzero entries, and the
+    multiplicity is that value; only entries at t >= the largest generator
+    order count, since a generator cannot act below its order (entry i of
+    the d-th differences sits at t = i + d).  With no such run the table
+    reports stabilized = False and no dimension or multiplicity.
     """
     if t_max < 3:
         raise PreconditionError("t-max", "t_max must be at least 3")
@@ -166,51 +176,43 @@ def hilbert_samuel(spec: RingSpec, t_max: int = 10) -> HilbertSamuelTable:
                 f"generator known only to degree {g.truncation} < t_max {t_max}",
             )
     nvars = len(spec.variables)
+    monomials = _monomials_up_to(nvars, t_max)
+    degrees = [sum(mono) for mono in monomials]
+    # Exponents packed as base-(t_max + 1) digits, so a product is a sum; no
+    # digit overflows, since only products of degree <= t_max are looked up.
+    weights = [(t_max + 1) ** i for i in range(nvars)]
+    codes = [sum(map(mul, mono, weights)) for mono in monomials]
+    column = {code: index for index, code in enumerate(codes)}
 
-    column: Dict[Tuple[int, ...], int] = {}
-
-    def column_of(exponent: Tuple[int, ...]) -> int:
-        index = column.get(exponent)
-        if index is None:
-            index = len(column)
-            column[exponent] = index
-        return index
-
-    # Every spanning row, tagged with the smallest t at which it is active
-    # and with per-entry degrees so truncation at each t is a filter.
-    tagged_rows = []
+    rows = []
     for g in generators:
-        order = g.order()
-        for mono in _monomials_up_to(nvars, t_max - order):
-            mono_degree = sum(mono)
-            entries = []
-            for exponent, coefficient in g.coefficients.items():
-                product = tuple(a + b for a, b in zip(mono, exponent))
-                degree = mono_degree + sum(exponent)
-                if degree <= t_max:
-                    entries.append((degree, column_of(product), coefficient))
-            tagged_rows.append((mono_degree + order, entries))
+        terms = [
+            (sum(e), sum(map(mul, e, weights)), c)
+            for e, c in primitive(g.coefficients).items()
+        ]
+        for code, mono_degree in zip(codes, degrees):
+            room = t_max - mono_degree
+            row = {column[code + e]: c for degree, e, c in terms if degree <= room}
+            if not row:
+                break  # degrees only grow, so no later shift fits either
+            rows.append(row)
 
-    values = []
-    for t in range(t_max + 1):
-        rows = []
-        for active_at, entries in tagged_rows:
-            if active_at > t:
-                continue
-            row = {col: c for degree, col, c in entries if degree <= t}
-            if row:
-                rows.append(row)
-        values.append(_count_monomials(nvars, t) - rank_sparse(rows))
+    pivot_degrees = [degrees[col] for col in pivot_columns(rows)]
+    values = [
+        _count_monomials(nvars, t) - bisect_right(pivot_degrees, t)
+        for t in range(t_max + 1)
+    ]
 
     differences = [values]
     while len(differences[-1]) > 1:
         prev = differences[-1]
         differences.append([b - a for a, b in zip(prev, prev[1:])])
 
+    first_t = max((g.order() for g in generators), default=0)
     dimension = None
     multiplicity = None
     for d, row in enumerate(differences):
-        tail = _stable_tail(row)
+        tail = _stable_tail(row[max(0, first_t - d):])
         if tail is not None and tail != 0:
             dimension = d
             multiplicity = tail

@@ -22,6 +22,11 @@ from .series import PowerSeries
 
 _ALIASES = {"−": "-", "·": "*", "∗": "*"}
 
+# Deepest allowed nesting of parentheses and unary minus signs; the parser is
+# recursive, and a bound well inside the interpreter's stack keeps deeper
+# input a parse error instead of a RecursionError.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list:
     for bad, good in _ALIASES.items():
@@ -62,6 +67,7 @@ class _Parser:
         self.pos = 0
         self.variables = tuple(variables)
         self.truncation = truncation
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -75,6 +81,16 @@ class _Parser:
         kind, value = self.take()
         if kind != "op" or value != op:
             raise PreconditionError("parse", f"expected {op!r}, found {value!r}")
+
+    def nested(self, parse) -> PowerSeries:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise PreconditionError(
+                "parse", f"expression nested deeper than {MAX_NESTING} levels"
+            )
+        value = parse()
+        self.depth -= 1
+        return value
 
     def expr(self) -> PowerSeries:
         value = self.term()
@@ -129,11 +145,11 @@ class _Parser:
                 raise PreconditionError("parse", f"unknown variable {value!r}")
             return PowerSeries.variable(value, self.variables, self.truncation)
         if kind == "op" and value == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr)
             self.expect_op(")")
             return inner
         if kind == "op" and value == "-":
-            return -self.factor()
+            return -self.nested(self.factor)
         raise PreconditionError("parse", f"unexpected token {value!r}")
 
 

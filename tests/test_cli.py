@@ -47,6 +47,31 @@ class TestReports:
         assert payload["dimension"] == 1
         assert payload["multiplicity"] == 2
 
+    def test_oracle_not_stabilized_below_generator_order(self, capsys):
+        # x^12 is invisible up to t = 11, so tmax 10 sees only k[[x, y]].
+        code, out, _ = run(capsys, ["hs", "--vars", "x,y", "--rel", "x^12", "--tmax", "10"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["stabilized"] is False
+        assert (payload["dimension"], payload["multiplicity"]) == (None, None)
+        code, out, _ = run(capsys, ["hs", "--vars", "x,y", "--rel", "x^12", "--tmax", "16"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["stabilized"] is True
+        assert (payload["dimension"], payload["multiplicity"]) == (1, 12)
+
+    def test_with_hs_reports_unstabilized_oracle(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["mult", "--model", "n=0,m=2", "--f=w1^12", "--with-hs", "--tmax", "10"],
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mult_D"] == 12
+        assert payload["hs_table"]["stabilized"] is False
+        assert payload["hs_table"]["multiplicity"] is None
+        assert payload["hs_agrees"] is False
+
     def test_theta_report_values(self, capsys):
         code, out, _ = run(
             capsys, ["theta", "--curve", CURVE_G1, "--sheaf", SHEAF_TRIVIAL]
@@ -129,6 +154,45 @@ class TestExitCodes:
     def test_malformed_json_is_exit_2(self, capsys):
         code, _, err = run(capsys, ["theta", "--curve", "{bad", "--sheaf", SHEAF_TRIVIAL])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "curve, sheaf, check",
+        [
+            ('{"nodes":[[0,"1/0"]]}', SHEAF_TRIVIAL, "json"),
+            ('{"nodes":[[0,"1/x"]]}', SHEAF_TRIVIAL, "json"),
+            (CURVE_G1, '{"nonfree":[],"dL":"x","glue":{"0":1}}', "sheaf"),
+            (CURVE_G1, '{"nonfree":["a"],"dL":0,"glue":{}}', "sheaf"),
+            (CURVE_G1, '{"nonfree":[],"dL":1.9,"glue":{"0":1}}', "sheaf"),
+        ],
+    )
+    def test_bad_loader_input_is_exit_2(self, capsys, curve, sheaf, check):
+        code, out, err = run(capsys, ["theta", "--curve", curve, "--sheaf", sheaf])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == check
+
+    @pytest.mark.parametrize("model", ["n=x", '{"n":"x","m":0}'])
+    def test_bad_model_integer_is_exit_2(self, capsys, model):
+        code, out, err = run(capsys, ["ord", "--model", model, "--f", "w1"])
+        assert code == 2
+        assert json.loads(err)["error"] == "model"
+
+    def test_bad_family_truncation_is_exit_2(self, capsys):
+        code, _, err = run(
+            capsys,
+            ["family", "--curve", CURVE_G1, "--sheaf", SHEAF_TRIVIAL, "--family", '{"N":"x"}'],
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "family"
+
+    @pytest.mark.parametrize(
+        "expression", ["(" * 3000 + "w1" + ")" * 3000, "-" * 3000 + "w1"]
+    )
+    def test_deep_nesting_is_exit_2(self, capsys, expression):
+        code, out, err = run(capsys, ["ord", "--model", "n=1,m=1", "--f=" + expression])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "parse"
 
     def test_golden_failure_is_exit_3(self, capsys, tmp_path):
         case = tmp_path / "broken"

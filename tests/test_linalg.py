@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from nodaltheta.linalg import rank_dense, rank_sparse
+from nodaltheta.linalg import pivot_columns, rank_dense, rank_sparse
 
 
 def naive_rank(matrix):
@@ -62,3 +62,51 @@ def test_random_agreement_with_naive_elimination():
             ]
             matrix.append(row)
         assert rank_dense(matrix) == naive_rank(matrix)
+
+
+def random_matrix(rng, nrows, ncols, density=0.5):
+    return [
+        [
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density else Fraction(0)
+            for _ in range(ncols)
+        ]
+        for _ in range(nrows)
+    ]
+
+
+def sparse(matrix):
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
+def test_pivots_below_k_count_rank_of_projection():
+    rng = random.Random(7)
+    for _ in range(60):
+        ncols = rng.randint(1, 8)
+        matrix = random_matrix(rng, rng.randint(1, 8), ncols, rng.choice([0.3, 0.6]))
+        pivots = pivot_columns(sparse(matrix))
+        assert pivots == sorted(set(pivots))
+        for k in range(ncols + 1):
+            projected = [row[:k] for row in matrix]
+            assert sum(1 for c in pivots if c < k) == naive_rank(projected)
+
+
+def test_rank_and_pivots_invariant_under_row_operations():
+    rng = random.Random(11)
+    for _ in range(40):
+        nrows, ncols = rng.randint(2, 6), rng.randint(1, 7)
+        matrix = random_matrix(rng, nrows, ncols)
+        rank, pivots = rank_dense(matrix), pivot_columns(sparse(matrix))
+        mixed = [row[:] for row in matrix]
+        for _ in range(10):
+            i, j = rng.sample(range(nrows), 2)
+            move = rng.randrange(3)
+            if move == 0:
+                mixed[i], mixed[j] = mixed[j], mixed[i]
+            elif move == 1:
+                scale = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                mixed[i] = [scale * v for v in mixed[i]]
+            else:
+                factor = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                mixed[i] = [a + factor * b for a, b in zip(mixed[i], mixed[j])]
+        assert rank_dense(mixed) == rank == naive_rank(matrix)
+        assert pivot_columns(sparse(mixed)) == pivots

@@ -1,11 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from nodaltheta.errors import PreconditionError
+from nodaltheta.linalg import rank_sparse
 from nodaltheta.localmodel import LocalModel, reduce
 from nodaltheta.multiplicity import (
     RingSpec,
+    _count_monomials,
+    _monomials_up_to,
     check_eqnmat,
     hilbert_samuel,
     model_ringspec,
@@ -110,6 +114,61 @@ class TestHilbertSamuel:
     def test_tmax_too_small_rejected(self):
         with pytest.raises(PreconditionError):
             hilbert_samuel(spec(XYZ, ["x*y"]), 2)
+
+
+def per_degree_hilbert_function(spec, t_max):
+    """H(t) by a separate elimination for each t: the rows at t are the
+    products (monomial) * (generator) of order <= t, truncated at degree t.
+    Kept as an oracle for the single graded elimination."""
+    nvars = len(spec.variables)
+    column = {}
+    values = []
+    for t in range(t_max + 1):
+        rows = []
+        for g in spec.generators():
+            for mono in _monomials_up_to(nvars, t - g.order()):
+                row = {}
+                for exponent, coefficient in g.coefficients.items():
+                    product = tuple(a + b for a, b in zip(mono, exponent))
+                    if sum(product) <= t:
+                        row[column.setdefault(product, len(column))] = coefficient
+                rows.append(row)
+        values.append(_count_monomials(nvars, t) - rank_sparse(rows))
+    return values
+
+
+def random_ideal(rng):
+    """1-3 generators without constant term, rational coefficients, order 1-3."""
+    nvars = rng.randint(1, 4)
+    variables = tuple(f"x{i}" for i in range(nvars))
+    generators = []
+    for _ in range(rng.randint(1, 3)):
+        coefficients = {}
+        for _ in range(rng.randint(1, 4)):
+            exponent = [0] * nvars
+            for _ in range(rng.randint(1, 3)):
+                exponent[rng.randrange(nvars)] += 1
+            coefficients[tuple(exponent)] = Fraction(
+                rng.choice([c for c in range(-6, 7) if c]), rng.randint(1, 5)
+            )
+        generators.append(PowerSeries(variables, coefficients, 9))
+    return RingSpec(variables, tuple(generators))
+
+
+class TestGradedElimination:
+    def test_matches_per_degree_oracle(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            ring = random_ideal(rng)
+            t_max = rng.randint(3, 9)
+            table = hilbert_samuel(ring, t_max)
+            assert table.values == per_degree_hilbert_function(ring, t_max), ring
+
+    def test_no_stabilization_below_generator_order(self):
+        ring = spec(("x", "y"), ["x^12"], truncation=16)
+        assert not hilbert_samuel(ring, 10).stabilized
+        table = hilbert_samuel(ring, 16)
+        assert (table.dimension, table.multiplicity) == (1, 12)
 
 
 def random_clean_element(rng, model, truncation=12, max_degree=3, terms=4):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nodaltheta.errors import PreconditionError
-from nodaltheta.parsing import parse_series
+from nodaltheta.parsing import MAX_NESTING, parse_series
 from nodaltheta.series import PowerSeries
 
 
@@ -57,3 +57,13 @@ def test_bad_characters_rejected():
 def test_division_only_in_literals():
     with pytest.raises(PreconditionError):
         parse_series("x/2", VARS, 5)
+
+
+def test_nesting_depth_bounded():
+    deep_parens = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_series(deep_parens, VARS, 5) == parse_series("x", VARS, 5)
+    assert parse_series("-" * MAX_NESTING + "x", VARS, 5) == parse_series("x", VARS, 5)
+    for text in ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"]:
+        with pytest.raises(PreconditionError) as info:
+            parse_series(text, VARS, 5)
+        assert info.value.name == "parse"
