@@ -9,6 +9,12 @@ must be able to skip it while direct queries report it.
 
 Arbitrary rings get arcs only through user parametrizations: there is no
 general arc-lifting solver here.
+
+Sampling runs in one loop on dense coefficient lists (`series.pull_back`),
+with the divisor and relations compiled once per call, denominators cleared.
+Per seed the random stream is fixed: on a model one `random()` per node, then
+one coefficient per degree for each free side and smooth variable (a random
+valid arc); through a parametrization s first, then each unlisted variable.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from .errors import PreconditionError, VerificationError
@@ -28,7 +35,7 @@ from .localmodel import (
     branch_variables,
 )
 from .multiplicity import RingSpec
-from .series import INFINITE, Order, PowerSeries
+from .series import INFINITE, Order, PowerSeries, exact, pull_back
 
 COEFF_BOX = range(-9, 10)
 
@@ -72,18 +79,21 @@ def _validate_images(variables, images, truncation) -> Dict[str, PowerSeries]:
         if name not in images:
             raise PreconditionError("arc", f"missing image for variable {name!r}")
         image = images[name]
-        if not image.is_univariate():
+        series = isinstance(image, PowerSeries)
+        if series and not image.is_univariate():
             raise PreconditionError("arc", f"image of {name!r} is not univariate")
-        if image.constant_term() != 0:
+        constant = image.constant_term() if series else (image[0] if image else 0)
+        if constant != 0:
             raise PreconditionError(
                 "arc", f"image of {name!r} has a nonzero constant term"
             )
-        if image.truncation < truncation:
+        known = image.truncation if series else len(image) - 1
+        if known < truncation:
             raise PreconditionError(
                 "arc",
-                f"image of {name!r} known only to degree {image.truncation} < {truncation}",
+                f"image of {name!r} known only to degree {known} < {truncation}",
             )
-        clean[name] = image.truncate(truncation)
+        clean[name] = image.truncate(truncation) if series else image[: truncation + 1]
     return clean
 
 
@@ -120,27 +130,25 @@ def make_general_arc(
     return GeneralArc(spec, clean, truncation)
 
 
+def _contact(divisor: PowerSeries, images, truncation: int) -> Contact:
+    if divisor.is_zero():
+        raise PreconditionError("zero-series", "divisor equation is zero")
+    pulled = divisor.substitute(images, truncation)
+    order = pulled.order()
+    if order is INFINITE:
+        return ArcInsideDivisor(at_least=pulled.truncation + 1)
+    return order
+
+
 def arc_contact(arc: Arc, element: ModelElement) -> Contact:
     """t-order of the divisor equation pulled back along the arc."""
     if element.model != arc.model:
         raise PreconditionError("model-mismatch", "arc and element live on different models")
-    if element.is_zero():
-        raise PreconditionError("zero-series", "divisor equation is zero")
-    pulled = element.series.substitute(arc.images, arc.truncation)
-    order = pulled.order()
-    if order is INFINITE:
-        return ArcInsideDivisor(at_least=pulled.truncation + 1)
-    return order
+    return _contact(element.series, arc.images, arc.truncation)
 
 
 def general_arc_contact(arc: GeneralArc, divisor: PowerSeries) -> Contact:
-    if divisor.is_zero():
-        raise PreconditionError("zero-series", "divisor equation is zero")
-    pulled = divisor.substitute(arc.images, arc.truncation)
-    order = pulled.order()
-    if order is INFINITE:
-        return ArcInsideDivisor(at_least=pulled.truncation + 1)
-    return order
+    return _contact(divisor, arc.images, arc.truncation)
 
 
 @dataclass(frozen=True)
@@ -187,14 +195,13 @@ def _generic_linear_arc(
     return None
 
 
-def _linear_arc_images(
-    model: LocalModel, branch: BranchIndex, point: Dict[str, Fraction], truncation: int
-) -> Dict[str, PowerSeries]:
-    images = {}
-    for name in model.variables:
-        value = point.get(name, Fraction(0))
-        images[name] = PowerSeries.univariate({1: value}, truncation)
-    return images
+def _linear_arc(model: LocalModel, point: Dict[str, Fraction], truncation: int) -> Arc:
+    """Each coordinate maps to its entry of `point` (0 if absent) times t."""
+    images = {
+        name: PowerSeries.univariate({1: point.get(name, 0)}, truncation)
+        for name in model.variables
+    }
+    return make_arc(model, images, truncation)
 
 
 def minimal_arc(element: ModelElement, truncation: int, seed: int) -> MinimalArc:
@@ -225,10 +232,7 @@ def minimal_arc(element: ModelElement, truncation: int, seed: int) -> MinimalArc
             "no direction found with nonvanishing leading form; "
             "truncation too small or element vanishes on the branch",
         )
-    arc = make_arc(
-        element.model, _linear_arc_images(element.model, branch, direction, truncation),
-        truncation,
-    )
+    arc = _linear_arc(element.model, direction, truncation)
     contact = arc_contact(arc, element)
     if contact != order:
         raise VerificationError(
@@ -262,10 +266,7 @@ def minimal_arc_through_Z(
     direction = _generic_linear_arc(restricted, model.smooth_variables(), rng)
     if direction is None:
         raise PreconditionError("arc-search", "no generic direction on Z found")
-    images = {name: PowerSeries.univariate({}, truncation) for name in node_vars}
-    for name in model.smooth_variables():
-        images[name] = PowerSeries.univariate({1: direction[name]}, truncation)
-    arc = make_arc(model, images, truncation)
+    arc = _linear_arc(model, direction, truncation)
     contact = arc_contact(arc, element)
     if contact != order:
         raise VerificationError(
@@ -274,23 +275,8 @@ def minimal_arc_through_Z(
     return MinimalArc(arc=arc, branch=(), contact=contact)
 
 
-def _random_polynomial(rng: random.Random, truncation: int) -> PowerSeries:
-    coefficients = {
-        d: rng.choice(COEFF_BOX) for d in range(1, truncation + 1)
-    }
-    return PowerSeries.univariate(coefficients, truncation)
-
-
-def random_arc(model: LocalModel, truncation: int, rng: random.Random) -> Arc:
-    """A random valid arc: one side of each node vanishes, the rest is free."""
-    images = {}
-    for u, v in model.node_pairs():
-        zero_side, free_side = (u, v) if rng.random() < 0.5 else (v, u)
-        images[zero_side] = PowerSeries.univariate({}, truncation)
-        images[free_side] = _random_polynomial(rng, truncation)
-    for name in model.smooth_variables():
-        images[name] = _random_polynomial(rng, truncation)
-    return Arc(model, images, truncation)
+def _random_list(rng: random.Random, truncation: int) -> list:
+    return [0] + [rng.choice(COEFF_BOX) for _ in range(truncation)]
 
 
 @dataclass(frozen=True)
@@ -303,47 +289,81 @@ class ArcSampleReport:
     seed: int
 
 
+def _compile(series: PowerSeries, names: Tuple[str, ...], integral: bool = True) -> list:
+    """`series` as `pull_back` terms, exponents over `names`.  `integral` clears
+    denominators: a nonzero scalar changes no t-order and no vanishing."""
+    missing = [v for v in series.variables if v not in names]
+    if missing:
+        raise PreconditionError("substitute", f"no image for variables {missing}")
+    scale = lcm(*(c.denominator for c in series.coefficients.values())) if integral else 1
+    return [
+        (tuple(dict(zip(series.variables, e)).get(v, 0) for v in names), exact(c * scale))
+        for e, c in series.coefficients.items()
+    ]
+
+
+def _sample(
+    draw: Callable[[random.Random], list], names: Tuple[str, ...], divisor: PowerSeries,
+    order: int, relations: Tuple[PowerSeries, ...], count: int, truncation: int, seed: int,
+) -> ArcSampleReport:
+    """Check the relations and contact >= `order` on `count` arcs from `draw(rng)`,
+    each dense lists in `names` order, truncation + 1 long, zero constant term.
+    Arcs inside the divisor (to truncation) are skipped; a contact below the
+    order would contradict the lower bound and raises loudly."""
+    if count < 0:
+        raise PreconditionError("count", f"arc count must be >= 0, got {count}")
+    if truncation < 0:
+        raise PreconditionError("truncation", "truncation must be >= 0")
+    terms, n = _compile(divisor, names), min(truncation, divisor.truncation)
+    checks = [(r, _compile(r, names), min(truncation, r.truncation)) for r in relations]
+    rng = random.Random(seed)
+    used = skipped = 0
+    minimum: Optional[int] = None
+    for _ in range(count):
+        arc = draw(rng)
+        for relation, relation_terms, relation_n in checks:
+            if any(pull_back(relation_terms, arc, relation_n)):
+                raise PreconditionError(
+                    "relation-violated", f"relation {relation} does not vanish along the arc"
+                )
+        contact = next((d for d, c in enumerate(pull_back(terms, arc, n)) if c), None)
+        if contact is None:
+            skipped += 1
+            continue
+        used += 1
+        if contact < order:
+            raise VerificationError(f"sampled arc has contact {contact} < order {order}")
+        if minimum is None or contact < minimum:
+            minimum = contact
+    return ArcSampleReport(count, used, skipped, minimum, order, seed)
+
+
 def sample_arcs_check(
     element: ModelElement, count: int, truncation: int, seed: int
 ) -> ArcSampleReport:
-    """Draw random arcs and check contact >= ord(f) on every one.
-
-    Arcs inside the divisor (to truncation) are skipped.  A contact below
-    the order would contradict the lower bound and raises loudly.
-    """
+    """Draw random arcs and check contact >= ord(f) on every one."""
     order = element.order()
     if order is INFINITE:
         raise PreconditionError("zero-series", "element is zero to truncation")
     if order == 0:
         raise PreconditionError("unit", "element does not vanish at the origin")
-    rng = random.Random(seed)
-    used = 0
-    skipped = 0
-    minimum: Optional[int] = None
-    for _ in range(count):
-        arc = random_arc(element.model, truncation, rng)
-        contact = arc_contact(arc, element)
-        if isinstance(contact, ArcInsideDivisor):
-            skipped += 1
-            continue
-        used += 1
-        if contact < order:
-            raise VerificationError(
-                f"sampled arc has contact {contact} < order {order}"
-            )
-        if minimum is None or contact < minimum:
-            minimum = contact
-    return ArcSampleReport(
-        requested=count,
-        used=used,
-        skipped_inside=skipped,
-        min_contact=minimum,
-        order=order,
-        seed=seed,
-    )
+    names = element.model.variables
+    pairs = [(names.index(u), names.index(v)) for u, v in element.model.node_pairs()]
+    smooth = [names.index(w) for w in element.model.smooth_variables()]
+
+    def draw(rng: random.Random) -> list:
+        arc = [[0] * (truncation + 1)] * len(names)  # then overwrite the free sides
+        for u, v in pairs:
+            free_side = v if rng.random() < 0.5 else u
+            arc[free_side] = _random_list(rng, truncation)
+        for w in smooth:
+            arc[w] = _random_list(rng, truncation)
+        return arc
+
+    return _sample(draw, names, element.series, order, (), count, truncation, seed)
 
 
-Parametrization = Callable[[random.Random, int], Dict[str, PowerSeries]]
+Parametrization = Callable[[random.Random, int], Dict[str, list]]
 
 
 def parametrization_from_powers(
@@ -353,21 +373,24 @@ def parametrization_from_powers(
 
     Listed variables map to their expression evaluated at a random s with
     zero constant term; unlisted variables are drawn freely.  With the
-    cuspidal pattern x = s^2, y = s^3 every draw satisfies y^2 = x^3.
+    cuspidal pattern x = s^2, y = s^3 every draw satisfies y^2 = x^3.  The
+    hook returns dense coefficient lists, never rescaled.
     """
-    for name in powers:
+    compiled = {}
+    for name, expr in powers.items():
         if name not in spec.variables:
             raise PreconditionError("parametrize", f"unknown variable {name!r}")
+        compiled[name] = (_compile(expr, ("s",), integral=False), expr.truncation)
 
-    def draw(rng: random.Random, truncation: int) -> Dict[str, PowerSeries]:
-        s = _random_polynomial(rng, truncation)
+    def draw(rng: random.Random, truncation: int) -> Dict[str, list]:
+        s = [_random_list(rng, truncation)]
         images = {}
         for name in spec.variables:
-            expr = powers.get(name)
-            if expr is None:
-                images[name] = _random_polynomial(rng, truncation)
+            if name in compiled:
+                terms, known = compiled[name]
+                images[name] = pull_back(terms, s, min(truncation, known))
             else:
-                images[name] = expr.substitute({"s": s}, truncation)
+                images[name] = _random_list(rng, truncation)
         return images
 
     return draw
@@ -381,33 +404,14 @@ def sample_parametrized_arcs_check(
     truncation: int,
     seed: int,
 ) -> ArcSampleReport:
-    """Sampling check on an arbitrary ring through a parametrization hook."""
+    """Sampling check on an arbitrary ring through a parametrization hook;
+    each draw is validated as `make_general_arc` validates its images."""
     order = divisor.order()
     if order is INFINITE:
         raise PreconditionError("zero-series", "divisor equation is zero")
-    rng = random.Random(seed)
-    used = 0
-    skipped = 0
-    minimum: Optional[int] = None
-    for _ in range(count):
+
+    def draw(rng: random.Random) -> list:
         images = parametrization(rng, truncation)
-        arc = make_general_arc(spec, images, truncation)
-        contact = general_arc_contact(arc, divisor)
-        if isinstance(contact, ArcInsideDivisor):
-            skipped += 1
-            continue
-        used += 1
-        if contact < order:
-            raise VerificationError(
-                f"sampled arc has contact {contact} < order {order}"
-            )
-        if minimum is None or contact < minimum:
-            minimum = contact
-    return ArcSampleReport(
-        requested=count,
-        used=used,
-        skipped_inside=skipped,
-        min_contact=minimum,
-        order=order,
-        seed=seed,
-    )
+        return list(_validate_images(spec.variables, images, truncation).values())
+
+    return _sample(draw, spec.variables, divisor, order, spec.relations, count, truncation, seed)

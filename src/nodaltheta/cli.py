@@ -156,8 +156,12 @@ def parse_model_flag(text: str) -> LocalModel:
 
 def load_curve(text_or_path: str) -> RationalNodalCurve:
     payload = _load_json(text_or_path)
+    if not isinstance(payload["nodes"], list):
+        raise PreconditionError("curve", "nodes must be a list of point pairs")
     nodes = []
     for pair in payload["nodes"]:
+        if not isinstance(pair, list):
+            raise PreconditionError("curve", f"node {pair!r} is not a list of two points")
         points = []
         for value in pair:
             if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):

@@ -232,14 +232,7 @@ class PowerSeries:
         for e, c in other.coefficients.items():
             if e[0] <= truncation:
                 b[e[0]] = c.numerator * (db // c.denominator)
-        out = [0] * (truncation + 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(truncation + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+        out = _mul_lists(a, b, truncation)
         denominator = da * db
         return PowerSeries(
             self.variables,
@@ -386,57 +379,17 @@ class PowerSeries:
                 raise PreconditionError(
                     "substitute", f"image of {v!r} has a nonzero constant term"
                 )
-
-        # Dense coefficient lists keep the inner loops on plain ints when the
-        # inputs are integral, which they usually are.
-        def as_list(s: PowerSeries) -> list:
-            out = [0] * (n + 1)
-            for e, c in s.coefficients.items():
+        image_lists = []
+        for im in used.values():
+            dense = [0] * (n + 1)
+            for e, c in im.coefficients.items():
                 if e[0] <= n:
-                    out[e[0]] = int(c) if c.denominator == 1 else c
-            return out
-
-        def mul_lists(a: list, b: list) -> list:
-            out = [0] * (n + 1)
-            for i, ai in enumerate(a):
-                if not ai:
-                    continue
-                for j in range(0, n + 1 - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-            return out
-
-        one = [0] * (n + 1)
-        one[0] = 1
-        image_lists = {v: as_list(im) for v, im in used.items()}
-        powers: dict = {}
-
-        def power(v: str, e: int) -> list:
-            if e == 0:
-                return one
-            key = (v, e)
-            if key not in powers:
-                if e == 1:
-                    powers[key] = image_lists[v]
-                else:
-                    powers[key] = mul_lists(power(v, e - 1), image_lists[v])
-            return powers[key]
-
-        acc = [Fraction(0)] * (n + 1)
-        for exponent, coeff in self.coefficients.items():
-            term = one
-            for v, e in zip(self.variables, exponent):
-                if e:
-                    term = mul_lists(term, power(v, e))
-                    if all(x == 0 for x in term):
-                        break
-            cval = int(coeff) if coeff.denominator == 1 else coeff
-            for d, x in enumerate(term):
-                if x:
-                    acc[d] += cval * x
+                    dense[e[0]] = exact(c)
+            image_lists.append(dense)
+        terms = [(e, exact(c)) for e, c in self.coefficients.items()]
+        pulled = pull_back(terms, image_lists, n)
         return PowerSeries(
-            (tvar,), {(d,): c for d, c in enumerate(acc) if c}, n
+            (tvar,), {(d,): c for d, c in enumerate(pulled) if c}, n
         )
 
     # -- presentation ------------------------------------------------------
@@ -467,6 +420,51 @@ class PowerSeries:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
+
+
+def exact(value: Rational) -> Rational:
+    """An integral rational as an int, so dense loops stay on plain ints."""
+    return int(value) if value.denominator == 1 else value
+
+
+def _mul_lists(a: list, b: list, n: int) -> list:
+    out = [0] * (n + 1)
+    nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in nonzero_b:
+                if i + j > n:
+                    break
+                out[i + j] += ai * bj
+    return out
+
+
+def pull_back(terms: Iterable, images: list, n: int) -> list:
+    """Dense coefficients of sum c * prod_i images[i]^e_i modulo t^(n+1).
+
+    `terms` holds (exponent, coefficient) pairs; `images` holds one dense
+    list per exponent position, at least n + 1 long.  Unchecked: callers
+    validate (`PowerSeries.substitute`) or build valid input (arc sampling).
+    """
+    images = [image[: n + 1] for image in images]
+    powers: dict = {}
+    out = [0] * (n + 1)
+    for exponent, coefficient in terms:
+        term = None
+        for i, e in enumerate(exponent):
+            if not e:
+                continue
+            chain = powers.setdefault(i, [images[i]])  # chain[k] = images[i]^(k+1)
+            while len(chain) < e:
+                chain.append(_mul_lists(chain[-1], images[i], n))
+            term = chain[e - 1] if term is None else _mul_lists(term, chain[e - 1], n)
+            if not any(term):
+                break
+        else:
+            for d, x in enumerate(term or [1]):  # None: a constant term
+                if x:
+                    out[d] += coefficient * x
+    return out
 
 
 @dataclass(frozen=True)

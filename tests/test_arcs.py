@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from nodaltheta.arcs import (
+    COEFF_BOX,
     ArcInsideDivisor,
+    ArcSampleReport,
     ZArcNotFound,
     arc_contact,
     general_arc_contact,
@@ -16,9 +19,10 @@ from nodaltheta.arcs import (
     sample_parametrized_arcs_check,
 )
 from nodaltheta.errors import PreconditionError
-from nodaltheta.localmodel import LocalModel
+from nodaltheta.localmodel import LocalModel, reduce
 from nodaltheta.multiplicity import RingSpec
 from nodaltheta.parsing import parse_series
+from nodaltheta.series import INFINITE, PowerSeries
 
 from test_multiplicity import random_clean_element
 
@@ -197,3 +201,222 @@ class TestSampling:
         assert report.order == 1
         assert report.min_contact == 2
         assert report.used >= 900
+
+
+# -- the PowerSeries-based sampler, kept as an oracle for the dense one --------
+
+
+def oracle_substitute(series, images, truncation):
+    """Pull-back through per-variable power caches on PowerSeries images."""
+    used = {v: images[v] for v in series.variables}
+    n = min([truncation, series.truncation] + [im.truncation for im in used.values()])
+
+    def as_list(s):
+        out = [0] * (n + 1)
+        for e, c in s.coefficients.items():
+            if e[0] <= n:
+                out[e[0]] = int(c) if c.denominator == 1 else c
+        return out
+
+    def mul_lists(a, b):
+        out = [0] * (n + 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(n + 1 - i):
+                    out[i + j] += ai * b[j]
+        return out
+
+    one = [1] + [0] * n
+    powers = {}
+
+    def power(v, e):
+        if e == 0:
+            return one
+        if (v, e) not in powers:
+            powers[v, e] = mul_lists(power(v, e - 1), as_list(used[v]))
+        return powers[v, e]
+
+    acc = [Fraction(0)] * (n + 1)
+    for exponent, coeff in series.coefficients.items():
+        term = one
+        for v, e in zip(series.variables, exponent):
+            if e:
+                term = mul_lists(term, power(v, e))
+        for d, x in enumerate(term):
+            acc[d] += coeff * x
+    return PowerSeries.univariate(dict(enumerate(acc)), n)
+
+
+def oracle_polynomial(rng, truncation):
+    coefficients = {d: rng.choice(COEFF_BOX) for d in range(1, truncation + 1)}
+    return PowerSeries.univariate(coefficients, truncation)
+
+
+def oracle_model_draw(model, truncation):
+    def draw(rng):
+        images = {}
+        for u, v in model.node_pairs():
+            zero_side, free_side = (u, v) if rng.random() < 0.5 else (v, u)
+            images[zero_side] = PowerSeries.univariate({}, truncation)
+            images[free_side] = oracle_polynomial(rng, truncation)
+        for name in model.smooth_variables():
+            images[name] = oracle_polynomial(rng, truncation)
+        return images
+
+    return draw
+
+
+def oracle_parametrized_draw(spec, powers, truncation):
+    """Draw as the PowerSeries hook did, then validate as make_general_arc did."""
+
+    def draw(rng):
+        s = oracle_polynomial(rng, truncation)
+        images = {}
+        for name in spec.variables:
+            expr = powers.get(name)
+            if expr is None:
+                images[name] = oracle_polynomial(rng, truncation)
+            else:
+                images[name] = oracle_substitute(expr, {"s": s}, truncation)
+        for name in spec.variables:
+            image = images[name]
+            if image.constant_term() != 0:
+                raise PreconditionError("arc", f"image of {name!r} has a nonzero constant term")
+            if image.truncation < truncation:
+                raise PreconditionError(
+                    "arc",
+                    f"image of {name!r} known only to degree {image.truncation} < {truncation}",
+                )
+            images[name] = image.truncate(truncation)
+        for relation in spec.relations:
+            if not oracle_substitute(relation, images, truncation).is_zero():
+                raise PreconditionError(
+                    "relation-violated", f"relation {relation} does not vanish along the arc"
+                )
+        return images
+
+    return draw
+
+
+def oracle_report(draw, divisor, count, truncation, seed):
+    order = divisor.order()
+    rng = random.Random(seed)
+    used = skipped = 0
+    minimum = None
+    for _ in range(count):
+        pulled = oracle_substitute(divisor, draw(rng), truncation)
+        contact = pulled.order()
+        if contact is INFINITE:
+            skipped += 1
+            continue
+        used += 1
+        assert contact >= order
+        minimum = contact if minimum is None else min(minimum, contact)
+    return ArcSampleReport(count, used, skipped, minimum, order, seed)
+
+
+def random_divisor(rng, model, truncation):
+    """Normal-form divisor of order 1..3 with rational coefficients."""
+    names = model.variables
+    while True:
+        coefficients = {}
+        for _ in range(rng.randint(1, 5)):
+            exponent = [0] * len(names)
+            for _ in range(rng.randint(1, 3)):
+                exponent[rng.randrange(len(names))] += 1
+            coefficients[tuple(exponent)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        f = reduce(model, PowerSeries(names, coefficients, truncation))
+        if not f.is_zero():
+            return f
+
+
+def cusp_powers(text, truncation):
+    powers = {}
+    for piece in text.split(","):
+        name, _, expr = piece.partition(":")
+        powers[name] = parse_series(expr, ("s",), truncation)
+    return powers
+
+
+class TestDenseSamplerMatchesOracle:
+    MODELS = [(n, m) for n in range(4) for m in range(3) if 2 * n + m >= 1]
+
+    def test_models(self):
+        rng = random.Random(41)
+        for n, m in self.MODELS:
+            model = LocalModel(n, m)
+            for truncation in range(13):
+                f = random_divisor(rng, model, rng.choice([max(truncation, 3), 6, 12]))
+                seed = rng.randrange(10**6)
+                report = sample_arcs_check(f, 20, truncation, seed)
+                draw = oracle_model_draw(model, truncation)
+                assert report == oracle_report(draw, f.series, 20, truncation, seed)
+
+    def test_skipped_arcs_and_rational_divisor(self):
+        model = LocalModel(2, 1)
+        f = model.element("u1*u2 - 3/2*u1*w1^2 + 1/3*v1^3*v2", 16)
+        for seed in range(3):
+            report = sample_arcs_check(f, 150, 16, seed)
+            assert report.skipped_inside > 0
+            draw = oracle_model_draw(model, 16)
+            assert report == oracle_report(draw, f.series, 150, 16, seed)
+
+    def test_divisor_known_to_lower_degree(self):
+        # Known only to degree 2, w1^2 reaches contact >= 4 along arcs with no
+        # t term: such arcs lie inside the divisor to its truncation.
+        model = LocalModel(0, 1)
+        f = model.element("w1^2", 2)
+        report = sample_arcs_check(f, 200, 12, seed=3)
+        assert report.skipped_inside > 0
+        assert report == oracle_report(oracle_model_draw(model, 12), f.series, 200, 12, 3)
+
+    def test_rings_without_relations(self):
+        rng = random.Random(42)
+        spec = RingSpec(XYZ)
+        hook = parametrization_from_powers(spec, {})
+        for truncation in range(13):
+            divisor = random_divisor(rng, LocalModel(0, 3), 12).series
+            divisor = PowerSeries(XYZ, divisor.coefficients, divisor.truncation)
+            seed = rng.randrange(10**6)
+            report = sample_parametrized_arcs_check(spec, divisor, hook, 12, truncation, seed)
+            draw = oracle_parametrized_draw(spec, {}, truncation)
+            assert report == oracle_report(draw, divisor, 12, truncation, seed)
+
+    @pytest.mark.parametrize("param", ["x:s^2,y:s^3", "x:1/4*s^2,y:1/8*s^3"])
+    @pytest.mark.parametrize("divisor", ["x - z^3", "y - 2*z^3", "3/2*x - z^2"])
+    def test_cusp(self, param, divisor):
+        for truncation in range(2, 13):  # y^2 - x^3 is zero below 2
+            spec = RingSpec(
+                XYZ,
+                (parse_series("y^2 - x^3", XYZ, truncation),),
+                parse_series(divisor, XYZ, truncation),
+            )
+            powers = cusp_powers(param, truncation)
+            hook = parametrization_from_powers(spec, powers)
+            draw = oracle_parametrized_draw(spec, powers, truncation)
+            for seed in (0, 7):
+                report = sample_parametrized_arcs_check(
+                    spec, spec.divisor, hook, 20, truncation, seed
+                )
+                assert report == oracle_report(draw, spec.divisor, 20, truncation, seed)
+
+    @pytest.mark.parametrize(
+        "param, known", [("x:1+s", 16), ("x:s^2,y:s^2", 16), ("x:s^2,y:s^3", 4)]
+    )
+    def test_bad_hooks_fail_as_before(self, param, known):
+        spec = cusp_spec(16)
+        powers = cusp_powers(param, known)
+        hook = parametrization_from_powers(spec, powers)
+        with pytest.raises(PreconditionError) as new:
+            sample_parametrized_arcs_check(spec, spec.divisor, hook, 100, 16, seed=0)
+        draw = oracle_parametrized_draw(spec, powers, 16)
+        with pytest.raises(PreconditionError) as old:
+            oracle_report(draw, spec.divisor, 100, 16, seed=0)
+        assert (new.value.name, str(new.value)) == (old.value.name, str(old.value))
+
+    def test_negative_count_rejected(self):
+        f = LocalModel(1, 1).element("v1 - u1^2", 8)
+        with pytest.raises(PreconditionError) as info:
+            sample_arcs_check(f, -1, 8, seed=0)
+        assert info.value.name == "count"
+        assert sample_arcs_check(f, 0, 8, seed=0).requested == 0

@@ -163,6 +163,8 @@ class TestExitCodes:
             (CURVE_G1, '{"nonfree":[],"dL":"x","glue":{"0":1}}', "sheaf"),
             (CURVE_G1, '{"nonfree":["a"],"dL":0,"glue":{}}', "sheaf"),
             (CURVE_G1, '{"nonfree":[],"dL":1.9,"glue":{"0":1}}', "sheaf"),
+            ('{"nodes":5}', '{"nonfree":[],"dL":0,"glue":[]}', "curve"),
+            ('{"nodes":[5]}', '{"nonfree":[],"dL":0,"glue":[]}', "curve"),
         ],
     )
     def test_bad_loader_input_is_exit_2(self, capsys, curve, sheaf, check):
@@ -170,6 +172,24 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == check
+
+    def test_negative_arc_count_is_exit_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["arcs-sample", "--model", "n=1,m=1", "--f=v1-u1^2", "--count", "-5", "--N", "8"],
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "count"
+
+    def test_zero_arc_count_is_valid(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["arcs-sample", "--model", "n=1,m=1", "--f=v1-u1^2", "--count", "0", "--N", "8"],
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert (report["requested"], report["used"], report["minContact"]) == (0, 0, None)
 
     @pytest.mark.parametrize("model", ["n=x", '{"n":"x","m":0}'])
     def test_bad_model_integer_is_exit_2(self, capsys, model):
