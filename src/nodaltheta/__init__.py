@@ -62,6 +62,7 @@ from .curve import (
     cohomology,
     constant_family,
     family_cohomology,
+    family_contact,
     general_drop_check,
     h0,
     h1,
@@ -109,6 +110,7 @@ __all__ = [
     "cohomology",
     "constant_family",
     "family_cohomology",
+    "family_contact",
     "general_arc_contact",
     "general_drop_check",
     "h0",

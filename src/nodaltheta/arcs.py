@@ -38,6 +38,7 @@ from .multiplicity import RingSpec
 from .series import INFINITE, Order, PowerSeries, exact, pull_back
 
 COEFF_BOX = range(-9, 10)
+DIRECTION_BUDGET = 400  # random directions tried by `_generic_linear_arc`
 
 
 @dataclass(frozen=True)
@@ -180,15 +181,15 @@ def _generic_linear_arc(
     form_series: PowerSeries,
     directions: Tuple[str, ...],
     rng: random.Random,
-    budget: int = 400,
 ) -> Optional[Dict[str, Fraction]]:
-    """Direction a with leading form nonvanishing at a; None if budget runs out.
+    """Direction a with leading form nonvanishing at a; None after
+    `DIRECTION_BUDGET` draws.
 
     Over an infinite field a generic direction works, so failures indicate a
     degenerate input rather than bad luck.
     """
     leading = form_series.leading_form().form
-    for _ in range(budget):
+    for _ in range(DIRECTION_BUDGET):
         point = {name: Fraction(rng.randint(-9, 9)) for name in directions}
         if _evaluate(leading, point) != 0:
             return point
@@ -204,13 +205,8 @@ def _linear_arc(model: LocalModel, point: Dict[str, Fraction], truncation: int) 
     return make_arc(model, images, truncation)
 
 
-def minimal_arc(element: ModelElement, truncation: int, seed: int) -> MinimalArc:
-    """An arc whose contact equals the order of vanishing.
-
-    Selects a branch of minimal order and takes a generic linear arc on it:
-    coordinates map to a_j * t with the branch leading form nonvanishing at
-    the direction vector, so the contact is exactly the order.
-    """
+def _require_arc_order(element: ModelElement, truncation: int) -> int:
+    """The order of a vanishing element that an arc to `truncation` can attain."""
     order = element.order()
     if order is INFINITE:
         raise PreconditionError("zero-series", "element is zero to truncation")
@@ -220,6 +216,17 @@ def minimal_arc(element: ModelElement, truncation: int, seed: int) -> MinimalArc
         raise PreconditionError(
             "truncation", f"arc truncation {truncation} below order {order}"
         )
+    return order
+
+
+def minimal_arc(element: ModelElement, truncation: int, seed: int) -> MinimalArc:
+    """An arc whose contact equals the order of vanishing.
+
+    Selects a branch of minimal order and takes a generic linear arc on it:
+    coordinates map to a_j * t with the branch leading form nonvanishing at
+    the direction vector, so the contact is exactly the order.
+    """
+    order = _require_arc_order(element, truncation)
     rng = random.Random(seed)
     best = min(branch_orders(element), key=lambda b: (b.order, b.branch))
     assert best.order == order
@@ -251,11 +258,7 @@ def minimal_arc_through_Z(
     has higher order than f itself, no such arc attains ord(f) and the best
     contact is reported instead.
     """
-    order = element.order()
-    if order is INFINITE:
-        raise PreconditionError("zero-series", "element is zero to truncation")
-    if order == 0:
-        raise PreconditionError("unit", "element does not vanish at the origin")
+    order = _require_arc_order(element, truncation)
     model = element.model
     node_vars = [name for pair in model.node_pairs() for name in pair]
     restricted = element.series.zero_out(node_vars)

@@ -14,6 +14,7 @@ or a counterexample and is deliberately loud.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,8 +61,8 @@ from .parsing import parse_series
 from .series import INFINITE, PowerSeries
 
 # Defaults of --N/--truncation and --tmax; NODALTHETA_N and NODALTHETA_TMAX
-# override them, read when a command is dispatched so that a bad value is an
-# input error (exit 2), not an import-time traceback.
+# override them, read on every dispatch so that a bad value is an input error
+# (exit 2), not an import-time traceback, and the parser is built only once.
 DEFAULT_N = 16
 DEFAULT_TMAX = 10
 
@@ -530,16 +531,13 @@ def cmd_golden(args) -> dict:
 # -- parser / dispatch ---------------------------------------------------------
 
 
-def _add_model_element_flags(parser, default_n, with_truncation=True):
+def _add_model_element_flags(parser):
     parser.add_argument("--model", required=True, help='model, e.g. "n=1,m=1"')
     parser.add_argument("--f", required=True, help="divisor equation over u_i, v_i, w_i")
     parser.add_argument(
         "--bind", help='aliases for the canonical coordinates, e.g. "x=u1,y=v1,z=w1"'
     )
-    if with_truncation:
-        parser.add_argument(
-            "--truncation", type=int, default=default_n, help="series truncation degree"
-        )
+    parser.add_argument("--truncation", type=int, help="series truncation degree")
 
 
 def _add_ringspec_flags(parser):
@@ -547,7 +545,10 @@ def _add_ringspec_flags(parser):
     parser.add_argument("--rel", action="append", help="ideal relation (repeatable)")
 
 
-def build_parser(default_n: int, default_tmax: int) -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; --N, --truncation and --tmax
+    default to None and are filled in by `dispatch`."""
     parser = argparse.ArgumentParser(
         prog="nodaltheta",
         description="Exact local multiplicity invariants on nodal models and "
@@ -556,20 +557,20 @@ def build_parser(default_n: int, default_tmax: int) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mult", help="branch-sum multiplicity of a divisor")
-    _add_model_element_flags(p, default_n)
+    _add_model_element_flags(p)
     p.add_argument("--with-hs", action="store_true", help="cross-check with the oracle")
-    p.add_argument("--tmax", type=int, default=default_tmax)
+    p.add_argument("--tmax", type=int)
     p.set_defaults(handler=cmd_mult)
 
     p = sub.add_parser("ord", help="order of vanishing at the origin")
-    _add_model_element_flags(p, default_n)
+    _add_model_element_flags(p)
     p.set_defaults(handler=cmd_ord)
 
     p = sub.add_parser("hs", help="Hilbert-Samuel table of a quotient ring")
     _add_ringspec_flags(p)
     p.add_argument("--f", help="optional divisor equation")
-    p.add_argument("--tmax", type=int, default=default_tmax)
-    p.add_argument("--truncation", type=int, default=default_n)
+    p.add_argument("--tmax", type=int)
+    p.add_argument("--truncation", type=int)
     p.set_defaults(handler=cmd_hs)
 
     p = sub.add_parser("arc", help="contact order of a divisor along an arc")
@@ -582,9 +583,9 @@ def build_parser(default_n: int, default_tmax: int) -> argparse.ArgumentParser:
     p.add_argument(
         "--through-z", action="store_true", help="restrict to the locally trivial locus"
     )
-    p.add_argument("--N", type=int, default=default_n)
+    p.add_argument("--N", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--truncation", type=int, default=default_n)
+    p.add_argument("--truncation", type=int)
     p.set_defaults(handler=cmd_arc)
 
     p = sub.add_parser("arcs-sample", help="random-arc lower bound check")
@@ -594,9 +595,9 @@ def build_parser(default_n: int, default_tmax: int) -> argparse.ArgumentParser:
     p.add_argument("--f", help="divisor equation")
     p.add_argument("--param", help='parametrization hook, e.g. "x:s^2,y:s^3"')
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--N", type=int, default=default_n)
+    p.add_argument("--N", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--truncation", type=int, default=default_n)
+    p.add_argument("--truncation", type=int)
     p.set_defaults(handler=cmd_arcs_sample)
 
     p = sub.add_parser("curve-h0", help="cohomology of a sheaf on a nodal curve")
@@ -619,14 +620,14 @@ def build_parser(default_n: int, default_tmax: int) -> argparse.ArgumentParser:
     p.add_argument("--sheaf", required=True)
     p.add_argument("--family", help="family JSON (default: build a minimal family)")
     p.add_argument("--aux", help="pin the auxiliary divisor, e.g. [2]")
-    p.add_argument("--N", type=int, default=default_n)
+    p.add_argument("--N", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_family)
 
     p = sub.add_parser("verify-A", help="cross-checked multiplicity identity")
     p.add_argument("--curve", required=True)
     p.add_argument("--sheaf", required=True)
-    p.add_argument("--N", type=int, default=default_n)
+    p.add_argument("--N", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--families", type=int, default=3)
     p.set_defaults(handler=cmd_verify_A)
@@ -639,10 +640,12 @@ def build_parser(default_n: int, default_tmax: int) -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> dict:
-    parser = build_parser(
-        _env_int("NODALTHETA_N", DEFAULT_N), _env_int("NODALTHETA_TMAX", DEFAULT_TMAX)
-    )
-    args = parser.parse_args(argv)
+    n = _env_int("NODALTHETA_N", DEFAULT_N)
+    defaults = {"N": n, "truncation": n, "tmax": _env_int("NODALTHETA_TMAX", DEFAULT_TMAX)}
+    args = build_parser().parse_args(argv)
+    for name, value in defaults.items():
+        if getattr(args, name, value) is None:
+            setattr(args, name, value)
     return args.handler(args)
 
 

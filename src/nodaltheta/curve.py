@@ -10,23 +10,29 @@ linear algebra over Q.
 
 One-parameter locally trivial families deform only the gluing scalars and
 the positions of twist points.  Restricting the theta divisor to such a
-family reduces to an evaluation matrix over Q[t]/(t^(N+1)) whose elementary
-divisor exponents sum to the order of contact with theta.
+family reduces to a square gluing matrix over Q[t]/(t^(N+1)) whose
+elementary divisor exponents sum to the order of contact with theta
+(`family_contact`).  `family_cohomology` reaches the same exponents through
+an auxiliary divisor and an evaluation matrix, following the paper's proof;
+it is kept as an independent oracle.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import IndeterminateAtTruncation, PreconditionError, VerificationError
 from .linalg import rank_dense
 from .series import PowerSeries
-from .smith import constant_matrix, kernel_basis, matrix_det, smith_exponents
+from .smith import constant_matrix, diagonalize, kernel_basis
 
 DEFAULT_TRUNCATION = 16
+DROP_RESAMPLES = 5  # random points tried per twist in `general_drop_check`
+MINIMAL_FAMILY_BUDGET = 80  # divisor draws in `make_minimal_family`
+AUX_BUDGET = 40  # auxiliary-divisor draws in `family_cohomology`
 
 
 class InfinitePoint:
@@ -41,12 +47,6 @@ class InfinitePoint:
 
     def __repr__(self):
         return "Infinity"
-
-    def __eq__(self, other):
-        return isinstance(other, InfinitePoint)
-
-    def __hash__(self):
-        return hash("InfinitePoint")
 
 
 INFINITY = InfinitePoint()
@@ -208,11 +208,10 @@ def general_drop_check(
     sheaf: TFSheaf,
     trials: int,
     seed: int,
-    resample_budget: int = 5,
 ) -> DropReport:
     """Generic single-point twists drop h0 (and dually h1) by exactly one.
 
-    For each trial, up to `resample_budget` random smooth points are drawn;
+    For each trial, up to `DROP_RESAMPLES` random smooth points are drawn;
     at least one must drop h0 from h to h-1 under a downward twist, and when
     h1 > 0 at least one must drop h1 under an upward twist.
     """
@@ -226,7 +225,7 @@ def general_drop_check(
     h1_drops = 0
     for _ in range(trials):
         found = False
-        for _ in range(resample_budget):
+        for _ in range(DROP_RESAMPLES):
             point = _draw_point(rng, avoid)
             twisted = twist_by_point(sheaf, point, -1, curve)
             resamples += 1
@@ -240,7 +239,7 @@ def general_drop_check(
         h0_drops += 1
         if h1_value >= 1:
             found = False
-            for _ in range(resample_budget):
+            for _ in range(DROP_RESAMPLES):
                 point = _draw_point(rng, avoid)
                 twisted = twist_by_point(sheaf, point, 1, curve)
                 resamples += 1
@@ -399,7 +398,6 @@ def make_minimal_family(
     sheaf: TFSheaf,
     truncation: int = DEFAULT_TRUNCATION,
     seed: int = 0,
-    budget: int = 80,
 ) -> SheafFamily:
     """Family whose contact with theta is exactly h1 of the central fiber.
 
@@ -415,7 +413,7 @@ def make_minimal_family(
         return constant_family(sheaf, truncation)
     rng = random.Random(seed)
     avoid = set(curve.node_points())
-    for _ in range(budget):
+    for _ in range(MINIMAL_FAMILY_BUDGET):
         points = []
         seen = set(avoid)
         for _ in range(h0_value):
@@ -441,7 +439,8 @@ def make_minimal_family(
         return SheafFamily.make(sheaf, truncation, gluing_series, moving)
     raise PreconditionError(
         "genericity-budget",
-        f"no generic divisor of degree {h0_value} found in {budget} draws",
+        f"no generic divisor of degree {h0_value} found in "
+        f"{MINIMAL_FAMILY_BUDGET} draws",
     )
 
 
@@ -450,7 +449,7 @@ class FamilyCohomology:
     h0_rank: int
     exponents: Tuple[int, ...]
     theta_order: int
-    aux_points: Tuple[Fraction, ...]
+    aux_points: Tuple[Fraction, ...]  # empty from `family_contact`
     precision: int  # working truncation that resolved the family, <= N
 
 
@@ -500,13 +499,13 @@ def _gluing_rows(
     return rows
 
 
-def _evaluate_family(
+def _evaluate_sections(
     aux: Sequence[Fraction],
     rows: List[List[PowerSeries]],
     ncols: int,
     truncation: int,
-) -> FamilyCohomology:
-    """Sections of the twisted family, evaluated at E and diagonalized."""
+) -> List[List[PowerSeries]]:
+    """Sections of the family twisted by E, evaluated at the points of E."""
     g = len(aux)
     sections = kernel_basis(rows, ncols, truncation)
     if len(sections) != g:
@@ -524,37 +523,65 @@ def _evaluate_family(
                     value = value + coeff_series.scale(power)
             phi_row.append(value)
         phi.append(phi_row)
+    return phi
 
-    determinant = matrix_det(phi)
-    if determinant.is_zero():
-        raise IndeterminateAtTruncation(truncation)
-    exponents = tuple(smith_exponents(phi))
-    theta_order = sum(exponents)
-    if theta_order != determinant.order():
-        raise VerificationError(
-            f"elementary divisors sum to {theta_order} but det has order "
-            f"{determinant.order()}"
-        )
-    h0_rank = g - rank_dense(constant_matrix(phi))
-    if h0_rank != sum(1 for e in exponents if e >= 1):
-        raise VerificationError("corank at t=0 disagrees with positive exponents")
-    return FamilyCohomology(
-        h0_rank=h0_rank,
-        exponents=exponents,
-        theta_order=theta_order,
-        aux_points=tuple(aux),
-        precision=truncation,
+
+def _solve_on_ladder(
+    matrix_at: Callable[[int], List[List[PowerSeries]]], n_trunc: int
+) -> FamilyCohomology:
+    """Diagonalize `matrix_at(w)` at w = 1, 2, 4, ..., N; the first w that resolves.
+
+    The matrix mod t^(w+1) is the reduction of the matrix mod t^(N+1), so a
+    rung that resolves yields the exponents of the full computation.
+    `IndeterminateAtTruncation` is raised only at N.
+    """
+    precision = min(1, n_trunc)
+    while True:
+        try:
+            exponents, h0_rank = diagonalize(matrix_at(precision), precision)
+            return FamilyCohomology(h0_rank, exponents, sum(exponents), (), precision)
+        except IndeterminateAtTruncation:
+            if precision == n_trunc:
+                raise IndeterminateAtTruncation(n_trunc) from None
+        precision = min(2 * precision, n_trunc)
+
+
+def _require_family(curve: RationalNodalCurve, family: SheafFamily):
+    curve.require_finite()
+    family.validate_for(curve)
+    _require_theta_degree(curve, family.sheaf)
+
+
+def family_contact(curve: RationalNodalCurve, family: SheafFamily) -> FamilyCohomology:
+    """Restrict theta to the family and diagonalize its square gluing matrix.
+
+    At a degree g-1 sheaf failing to be locally free at n nodes, sections
+    are polynomials of degree <= dL = g-1-n, and H^1(P^1, O(dL)) = 0.  So the
+    first cohomology of the family is the cokernel of the (g-n) x (g-n)
+    matrix s -> s(p_j) - lambda_j(t) s(q_j) over Q[[t]], moving twist points
+    included, and the contact order with theta is the sum of its elementary
+    divisor exponents, equivalently the t-order of its determinant.
+
+    The exponents are reported as n zeros followed by the gluing matrix's,
+    which is the exponent list of the g x g evaluation matrix of
+    `family_cohomology`, and the same working truncations 1, 2, 4, ..., N
+    are tried in turn.
+    """
+    _require_family(curve, family)
+    ncols = family.sheaf.line_degree + 1
+    result = _solve_on_ladder(
+        lambda w: _gluing_rows(curve, family, [], ncols, w), family.truncation
     )
+    return replace(result, exponents=(0,) * family.sheaf.nonfree_count + result.exponents)
 
 
 def family_cohomology(
     curve: RationalNodalCurve,
     family: SheafFamily,
     seed: int = 0,
-    budget: int = 40,
     aux_points: Optional[Sequence[Fraction]] = None,
 ) -> FamilyCohomology:
-    """Restrict theta to the family and diagonalize the evaluation matrix.
+    """Restrict theta to the family through an auxiliary divisor, as in the proof.
 
     An auxiliary divisor E of g generic smooth points makes the twisted
     family fiberwise without first cohomology; its sections over the
@@ -562,7 +589,8 @@ def family_cohomology(
     gluing conditions with unit pivots.  The g x g evaluation matrix at the
     points of E then has cokernel equal to the first cohomology of the
     family, so the contact order with theta is the sum of its elementary
-    divisor exponents, equivalently the t-order of its determinant.
+    divisor exponents, equivalently the t-order of its determinant.  This is
+    the independent oracle of `family_contact`.
 
     E is drawn from the seed and re-drawn on degeneracy; `aux_points` pins
     it instead (no redraws).  Whether E is degenerate depends only on t = 0.
@@ -574,11 +602,8 @@ def family_cohomology(
     determinant that is nonzero mod t^(w+1) yields the exponents of the
     full computation.  `IndeterminateAtTruncation` is raised only at N.
     """
-    curve.require_finite()
-    family.validate_for(curve)
-    _require_theta_degree(curve, family.sheaf)
+    _require_family(curve, family)
     g = curve.genus
-    n_trunc = family.truncation
     ncols = family.sheaf.line_degree + g + 1
     rng = random.Random(seed)
     avoid = set(curve.node_points()) | {m.base for m in family.moving}
@@ -590,7 +615,7 @@ def family_cohomology(
             )
 
     last_failure = None
-    for attempt in range(budget):
+    for attempt in range(AUX_BUDGET):
         if aux_points is not None:
             if attempt > 0:
                 raise PreconditionError(
@@ -606,23 +631,21 @@ def family_cohomology(
                 seen.add(point)
                 aux.append(point)
 
-        precision = min(1, n_trunc)
-        rows = _gluing_rows(curve, family, aux, ncols, precision)
+        rows = _gluing_rows(curve, family, aux, ncols, 0)
         if rows and rank_dense(constant_matrix(rows)) < len(rows):
             last_failure = "rank"
             continue
 
-        while True:
-            try:
-                return _evaluate_family(aux, rows, ncols, precision)
-            except IndeterminateAtTruncation:
-                if precision == n_trunc:
-                    raise
-            precision = min(2 * precision, n_trunc)
-            rows = _gluing_rows(curve, family, aux, ncols, precision)
+        result = _solve_on_ladder(
+            lambda w: _evaluate_sections(
+                aux, _gluing_rows(curve, family, aux, ncols, w), ncols, w
+            ),
+            family.truncation,
+        )
+        return replace(result, aux_points=tuple(aux))
     raise PreconditionError(
         "aux-divisor-degenerate",
-        f"no auxiliary divisor with vanishing h1 found in {budget} draws "
+        f"no auxiliary divisor with vanishing h1 found in {AUX_BUDGET} draws "
         f"(last failure: {last_failure})",
     )
 
@@ -679,7 +702,7 @@ def verify_theorem_A(
         raise PreconditionError("off-theta", "sheaf has h0 = 0: not a theta point")
     family = make_minimal_family(curve, sheaf, truncation, seed)
     try:
-        result = family_cohomology(curve, family, seed=seed + 1)
+        result = family_contact(curve, family)
     except IndeterminateAtTruncation as exc:
         raise VerificationError(
             "minimal family vanishes to truncation; its sections should "
@@ -691,10 +714,10 @@ def verify_theorem_A(
         )
     rng = random.Random(seed + 2)
     random_orders: List[Union[int, str]] = []
-    for k in range(random_families):
+    for _ in range(random_families):
         deformation = random_gluing_family(curve, sheaf, truncation, rng)
         try:
-            outcome = family_cohomology(curve, deformation, seed=seed + 3 + k)
+            outcome = family_contact(curve, deformation)
         except IndeterminateAtTruncation:
             random_orders.append("indeterminate")
             continue
@@ -703,18 +726,7 @@ def verify_theorem_A(
                 f"random family contact {outcome.theta_order} below h0 {h0_value}"
             )
         random_orders.append(outcome.theta_order)
-    base = theta_invariants(curve, sheaf)
-    report = ThetaReport(
-        n=base.n,
-        h0=base.h0,
-        h1=base.h1,
-        ord=base.ord,
-        mult_jacobian=base.mult_jacobian,
-        mult_theta=base.mult_theta,
-        on_theta=base.on_theta,
-        singular=base.singular,
-        exponents=result.exponents,
-    )
+    report = replace(theta_invariants(curve, sheaf), exponents=result.exponents)
     return TheoremAReport(
         theta=report,
         family_order=result.theta_order,

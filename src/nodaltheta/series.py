@@ -43,12 +43,6 @@ class InfiniteOrder:
     def __repr__(self):
         return "Infinite"
 
-    def __eq__(self, other):
-        return isinstance(other, InfiniteOrder)
-
-    def __hash__(self):
-        return hash("InfiniteOrder")
-
     def __lt__(self, other):
         return False
 

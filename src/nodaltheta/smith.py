@@ -5,14 +5,17 @@ must be units (nonzero constant term); Smith reduction instead pivots on an
 entry of minimal t-order, which divides every remaining entry, at the cost
 of one truncation level per order of the pivot.  The sum of the elementary
 divisor exponents equals the t-order of the determinant whenever the
-determinant does not vanish to truncation.
+determinant does not vanish to truncation; `diagonalize` checks one against
+the other, with the determinant computed by Berkowitz's division-free
+algorithm.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from .errors import IndeterminateAtTruncation, PreconditionError, VerificationError
+from .linalg import rank_dense
 from .series import INFINITE, PowerSeries
 
 Matrix = List[List[PowerSeries]]
@@ -22,8 +25,25 @@ def constant_matrix(matrix: Matrix) -> List[List]:
     return [[entry.constant_term() for entry in row] for row in matrix]
 
 
+def _dot(xs, ys, zero: PowerSeries) -> PowerSeries:
+    total = zero
+    for x, y in zip(xs, ys):
+        if not (x.is_zero() or y.is_zero()):
+            total = total + x * y
+    return total
+
+
 def matrix_det(matrix: Matrix) -> PowerSeries:
-    """Determinant by expansion along rows with column-subset memoization."""
+    """Determinant by Berkowitz's division-free algorithm (IPL 18, 1984).
+
+    The characteristic polynomial det(x I - A) is built over the trailing
+    principal submatrices, one row and column at a time: for a block
+    [[a, R], [C, B]] with B of size m - 1, the lower triangular Toeplitz
+    matrix with first column 1, -a, -R C, -R B C, ..., -R B^(m-2) C maps the
+    coefficients of B's polynomial to the block's.  That is O(n^4) ring
+    operations with no division and no pivoting, so it holds over
+    Q[t]/(t^(N+1)), zero divisors included, independently of Smith reduction.
+    """
     n = len(matrix)
     if n == 0:
         raise PreconditionError("matrix", "empty matrix has no determinant here")
@@ -31,33 +51,24 @@ def matrix_det(matrix: Matrix) -> PowerSeries:
         raise PreconditionError("matrix", "determinant needs a square matrix")
     template = matrix[0][0]
     zero = PowerSeries.zero(template.variables, template.truncation)
-    states = {0: PowerSeries.constant(template.variables, 1, template.truncation)}
-    for i in range(n):
-        new_states: dict = {}
-        for mask, value in states.items():
-            sign = 1
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    sign = -sign
-                    continue
-                entry = matrix[i][j]
-                if entry.is_zero():
-                    continue
-                term = value * entry
-                if sign < 0:
-                    term = -term
-                key = mask | bit
-                new_states[key] = new_states.get(key, zero) + term
-        states = new_states
-        if not states:
-            return zero
-    return states.get((1 << n) - 1, zero)
+    one = PowerSeries.constant(template.variables, 1, template.truncation)
+    poly = [one]
+    for k in range(n - 1, -1, -1):
+        row = matrix[k][k + 1:]
+        block = [r[k + 1:] for r in matrix[k + 1:]]
+        toeplitz = [one, -matrix[k][k]]
+        vector = [r[k] for r in matrix[k + 1:]]
+        for j in range(len(block)):
+            if j:
+                vector = [_dot(r, vector, zero) for r in block]
+            toeplitz.append(-_dot(row, vector, zero))
+        poly = [
+            _dot(toeplitz[i::-1], poly[: i + 1], zero) for i in range(len(poly) + 1)
+        ]
+    return poly[n] if n % 2 == 0 else -poly[n]
 
 
-def kernel_basis(
-    matrix: Matrix, ncols: int, truncation: int, var: str = "t"
-) -> List[List[PowerSeries]]:
+def kernel_basis(matrix: Matrix, ncols: int, truncation: int) -> List[List[PowerSeries]]:
     """Free basis of the kernel of a matrix whose reduction at t=0 has full row rank.
 
     Row-reduce with unit pivots (every pivot has nonzero constant term, so
@@ -103,8 +114,8 @@ def kernel_basis(
             work[r] = [a - factor * b for a, b in zip(work[r], work[i])]
         pivot_cols.append(pivot_col)
 
-    zero = PowerSeries.zero((var,), truncation)
-    one = PowerSeries.constant((var,), 1, truncation)
+    zero = PowerSeries.zero(("t",), truncation)
+    one = PowerSeries.constant(("t",), 1, truncation)
     basis = []
     for j in range(ncols):
         if j in pivot_cols:
@@ -172,3 +183,30 @@ def smith_exponents(matrix: Matrix) -> List[int]:
             for i in range(nrows):
                 work[i][j] = work[i][j] - quotient * work[i][k]
     return exponents
+
+
+def diagonalize(matrix: Matrix, truncation: int) -> Tuple[Tuple[int, ...], int]:
+    """Elementary divisor exponents and corank at t = 0 of a square matrix
+    over Q[t]/(t^(truncation+1)), each computed once and cross-checked.
+
+    Smith reduction runs first.  Its exponents can sum past the truncation
+    while the determinant vanishes there (diag(t^3, t^3) mod t^5 gives
+    [3, 3]), so only a sum <= truncation resolves; then the determinant's
+    t-order must equal that sum, and the corank of the constant matrix the
+    number of positive exponents.  A 0 x 0 matrix has no exponents.
+    """
+    exponents = tuple(smith_exponents(matrix))
+    order = sum(exponents)
+    if order > truncation:
+        raise IndeterminateAtTruncation(truncation)
+    if matrix:
+        determinant = matrix_det(matrix)
+        if order != determinant.order():
+            raise VerificationError(
+                f"elementary divisors sum to {order} but det has order "
+                f"{determinant.order()}"
+            )
+    corank = len(matrix) - rank_dense(constant_matrix(matrix))
+    if corank != sum(1 for e in exponents if e >= 1):
+        raise VerificationError("corank at t=0 disagrees with positive exponents")
+    return exponents, corank

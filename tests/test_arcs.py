@@ -166,6 +166,19 @@ class TestZArcs:
         assert isinstance(result, ZArcNotFound)
         assert result.best_contact > 16
 
+    @pytest.mark.parametrize("text", ["w1^3", "u1^3 + w1^4", "0", "1 + w1"])
+    def test_checks_match_minimal_arc(self, text):
+        # zero, unit and truncation below the order are rejected by both
+        # searches with the same check and message: an arc known to t^2
+        # cannot show contact 3
+        element = LocalModel(1, 1).element(text)
+        with pytest.raises(PreconditionError) as minimal:
+            minimal_arc(element, 2, seed=0)
+        with pytest.raises(PreconditionError) as through_z:
+            minimal_arc_through_Z(element, 2, seed=0)
+        assert through_z.value.name == minimal.value.name
+        assert str(through_z.value) == str(minimal.value)
+
 
 class TestSampling:
     def test_parabola_bound_and_attainment(self):

@@ -9,7 +9,7 @@ import pytest
 
 import nodaltheta
 
-from nodaltheta.cli import canonical_json, dispatch, golden_suite, main
+from nodaltheta.cli import build_parser, canonical_json, dispatch, golden_suite, main
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "golden"
@@ -182,6 +182,15 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"] == "count"
 
+    def test_through_z_truncation_below_order_is_exit_2(self, capsys):
+        argv = ["arc", "--model", "n=1,m=1", "--f=w1^3", "--N", "2"]
+        code, out, minimal_err = run(capsys, argv + ["--minimal"])
+        assert (code, out) == (2, "")
+        code, out, err = run(capsys, argv + ["--through-z"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "truncation"
+        assert err == minimal_err
+
     def test_zero_arc_count_is_valid(self, capsys):
         code, out, _ = run(
             capsys,
@@ -237,6 +246,22 @@ class TestExitCodes:
         diagnostic = json.loads(err)
         assert diagnostic["error"] == name
         assert "'abc'" in diagnostic["message"]
+
+    def test_environment_read_on_every_dispatch(self, monkeypatch):
+        # the parser is built once; each dispatch fills N, truncation and
+        # tmax from the environment it runs in
+        argv = ["arc", "--model", "n=1,m=1", "--f=w1", "--minimal"]
+        monkeypatch.setenv("NODALTHETA_N", "8")
+        assert dispatch(argv)["N"] == 8
+        monkeypatch.setenv("NODALTHETA_N", "11")
+        assert dispatch(argv)["N"] == 11
+        assert dispatch(argv + ["--N", "5"])["N"] == 5
+        hs = ["hs", "--vars", "x", "--rel", "x^2"]
+        monkeypatch.setenv("NODALTHETA_TMAX", "6")
+        assert dispatch(hs)["t_max"] == 6
+        monkeypatch.setenv("NODALTHETA_TMAX", "7")
+        assert dispatch(hs)["t_max"] == 7
+        assert build_parser() is build_parser()
 
     def test_environment_sets_default_truncation(self, capsys, monkeypatch):
         monkeypatch.setenv("NODALTHETA_N", "8")

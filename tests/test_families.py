@@ -11,6 +11,7 @@ from nodaltheta.curve import (
     cohomology,
     constant_family,
     family_cohomology,
+    family_contact,
     make_minimal_family,
     random_gluing_family,
     verify_theorem_A,
@@ -18,7 +19,7 @@ from nodaltheta.curve import (
 from nodaltheta.errors import IndeterminateAtTruncation, PreconditionError
 from nodaltheta.parsing import parse_series
 from nodaltheta.series import PowerSeries
-from nodaltheta.smith import matrix_det, smith_exponents
+from nodaltheta.smith import diagonalize, matrix_det, smith_exponents
 
 
 def curve_of(*pairs):
@@ -37,6 +38,42 @@ G1 = curve_of((0, 1))
 TRIVIAL = sheaf_of([], 0, {0: 1})
 
 
+def symmetric_point(g, n):
+    """Nodes (-k, k) for k = 1..g glued by 1, the first n nodes non-free.
+
+    A section is a polynomial of degree <= g-1-n whose odd part vanishes at
+    the g-n glued k, so it is even: h0 = (g-1-n)//2 + 1, at least 2 once
+    n <= g-3.
+    """
+    curve = curve_of(*[(-k, k) for k in range(1, g + 1)])
+    return curve, sheaf_of(range(n), g - 1 - n, {j: 1 for j in range(n, g)})
+
+
+def random_theta_point(rng, g, n):
+    """Random integer nodes, the first n non-free, glued along an effective
+    divisor of degree g-1-n at odd halves, so that the sheaf has a section
+    (for n < g)."""
+    points = rng.sample(range(-25, 26), 2 * g)
+    curve = curve_of(*[(points[2 * i], points[2 * i + 1]) for i in range(g)])
+    zeros = [Fraction(2 * rng.randrange(-50, 50) + 1, 2) for _ in range(g - 1 - n)]
+    glue = {}
+    for j in range(n, g):
+        p, q = curve.nodes[j]
+        glue[j] = Fraction(1)
+        for c in zeros:
+            glue[j] *= (p - c) / (q - c)
+    return curve, sheaf_of(range(n), g - 1 - n, glue)
+
+
+def solved(route, curve, family):
+    """What a route reports: its invariants, or the bound it stopped at."""
+    try:
+        result = route(curve, family)
+    except IndeterminateAtTruncation as exc:
+        return ("indeterminate", exc.at_least)
+    return (result.exponents, result.h0_rank, result.theta_order, result.precision)
+
+
 class TestSmith:
     def test_diagonal_orders(self):
         matrix = [[tser("t^2"), tser("0")], [tser("0"), tser("3 + t")]]
@@ -52,6 +89,24 @@ class TestSmith:
         matrix = [[tser("t"), tser("0")], [tser("0"), tser("0")]]
         with pytest.raises(IndeterminateAtTruncation):
             smith_exponents(matrix)
+
+    def test_exponents_can_sum_past_the_truncation(self):
+        # the t^3 entries never meet, so Smith keeps both at truncation 4,
+        # but the determinant t^6 vanishes mod t^5: not resolved there
+        matrix = [[tser("t^3", 4), tser("0", 4)], [tser("0", 4), tser("t^3", 4)]]
+        assert smith_exponents(matrix) == [3, 3]
+        assert matrix_det(matrix).is_zero()
+        with pytest.raises(IndeterminateAtTruncation) as info:
+            diagonalize(matrix, 4)
+        assert info.value.truncation == 4
+        resolved = [[tser("t^3", 6), tser("0", 6)], [tser("0", 6), tser("t^3", 6)]]
+        assert diagonalize(resolved, 6) == ((3, 3), 2)
+
+    def test_diagonalize_reports_corank_at_zero(self):
+        matrix = [[tser("t", 8), tser("t", 8)], [tser("t", 8), tser("t + t^3", 8)]]
+        assert diagonalize(matrix, 8) == ((1, 3), 2)
+        assert diagonalize([[tser("2 + t", 8)]], 8) == ((0,), 0)
+        assert diagonalize([], 8) == ((), 0)
 
     def test_exponent_sum_matches_determinant_order(self):
         rng = random.Random(51)
@@ -71,6 +126,92 @@ class TestSmith:
             if det.is_zero():
                 continue
             assert sum(smith_exponents(matrix)) == det.order()
+
+
+def subset_expansion_det(matrix):
+    """The determinant as computed before Berkowitz's algorithm, kept as an
+    oracle: expansion along rows, memoized on the set of used columns,
+    O(2^n n) products.  Its sign is (-1)^(n(n-1)/2) times the true one."""
+    n = len(matrix)
+    template = matrix[0][0]
+    zero = PowerSeries.zero(template.variables, template.truncation)
+    states = {0: PowerSeries.constant(template.variables, 1, template.truncation)}
+    for i in range(n):
+        new_states = {}
+        for mask, value in states.items():
+            sign = 1
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    sign = -sign
+                    continue
+                entry = matrix[i][j]
+                if entry.is_zero():
+                    continue
+                term = value * entry
+                if sign < 0:
+                    term = -term
+                new_states[mask | bit] = new_states.get(mask | bit, zero) + term
+        states = new_states
+        if not states:
+            return zero
+    return states.get((1 << n) - 1, zero)
+
+
+class TestBerkowitz:
+    @staticmethod
+    def _entry(rng, truncation):
+        """Zero, a unit, or a zero divisor (positive order), rational coefficients."""
+        kind = rng.choice(["zero", "unit", "divisor", "divisor"])
+        if kind == "zero":
+            return PowerSeries.zero(("t",), truncation)
+        low = 0 if kind == "unit" else rng.randint(1, 3)
+        coefficients = {
+            d: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for d in range(low, truncation + 1)
+        }
+        if kind == "unit":
+            coefficients[0] = Fraction(rng.choice([-3, -1, 1, 2]))
+        return PowerSeries.univariate(coefficients, truncation)
+
+    def test_matches_subset_expansion(self):
+        rng = random.Random(57)
+        for trial in range(120):
+            n = trial % 7 + 1
+            truncation = rng.randint(0, 10)
+            matrix = [[self._entry(rng, truncation) for _ in range(n)] for _ in range(n)]
+            sign = (-1) ** (n * (n - 1) // 2)
+            assert matrix_det(matrix) == subset_expansion_det(matrix).scale(sign)
+
+    @staticmethod
+    def _permutation_matrix(perm, truncation=6):
+        return [
+            [PowerSeries.univariate({0: int(perm[i] == j)}, truncation) for j in range(len(perm))]
+            for i in range(len(perm))
+        ]
+
+    def test_identity_has_determinant_one(self):
+        for n in range(1, 9):
+            identity = self._permutation_matrix(list(range(n)))
+            assert matrix_det(identity) == PowerSeries.univariate({0: 1}, 6)
+
+    def test_permutation_matrix_has_its_sign(self):
+        rng = random.Random(58)
+        for n in range(1, 8):
+            for _ in range(5):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                inversions = sum(
+                    perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+                )
+                sign = (-1) ** inversions
+                assert matrix_det(self._permutation_matrix(perm)) == PowerSeries.univariate(
+                    {0: sign}, 6
+                )
+
+    def test_zero_divisors_on_the_diagonal(self):
+        # no pivot is a unit: det [[t, 1], [1, t]] = t^2 - 1
+        matrix = [[tser("t", 4), tser("1", 4)], [tser("1", 4), tser("t", 4)]]
+        assert matrix_det(matrix) == tser("t^2 - 1", 4)
 
 
 class TestFamilyCohomology:
@@ -335,16 +476,21 @@ class TestPrecisionLadder:
             family.sheaf, family.truncation, dict(family.gluing_series), moving
         )
 
-    @pytest.mark.parametrize("nodes,data", CASES)
-    def test_orders_scale_across_every_rung(self, nodes, data):
+    ROUTES = {
+        "auxiliary": lambda curve, family: family_cohomology(curve, family, seed=1),
+        "direct": family_contact,
+    }
+
+    def _check_orders_scale(self, route, nodes, data):
+        solve = self.ROUTES[route]
         curve = curve_of(*nodes)
         sheaf = sheaf_of(*data)
         h0_value = cohomology(curve, sheaf)[0]
         family = make_minimal_family(curve, sheaf, 16, seed=0)
-        base = family_cohomology(curve, family, seed=1)
+        base = solve(curve, family)
         assert base.theta_order == h0_value
         for k in range(1, 9):
-            result = family_cohomology(curve, self._reparametrized(family, k), seed=1)
+            result = solve(curve, self._reparametrized(family, k))
             assert result.theta_order == k * h0_value
             assert result.exponents == tuple(k * e for e in base.exponents)
             assert result.aux_points == base.aux_points
@@ -352,17 +498,86 @@ class TestPrecisionLadder:
             # contact orders up to 8 never reach the requested N = 16
             assert result.precision == min(w for w in (1, 2, 4, 8, 16) if w >= k * h0_value)
 
-    @pytest.mark.parametrize("nodes,data", CASES)
-    def test_indeterminate_only_at_requested_truncation(self, nodes, data):
+    def _check_indeterminate_at_n(self, route, nodes, data):
         curve = curve_of(*nodes)
         sheaf = sheaf_of(*data)
         h0_value = cohomology(curve, sheaf)[0]
         family = make_minimal_family(curve, sheaf, 16, seed=0)
         k = 16 // h0_value + 1
         with pytest.raises(IndeterminateAtTruncation) as info:
-            family_cohomology(curve, self._reparametrized(family, k), seed=1)
+            self.ROUTES[route](curve, self._reparametrized(family, k))
         assert info.value.truncation == 16
         assert info.value.at_least == 17
+
+    @pytest.mark.parametrize("nodes,data", CASES)
+    def test_orders_scale_across_every_rung(self, nodes, data):
+        self._check_orders_scale("auxiliary", nodes, data)
+
+    @pytest.mark.parametrize("nodes,data", CASES)
+    def test_indeterminate_only_at_requested_truncation(self, nodes, data):
+        self._check_indeterminate_at_n("auxiliary", nodes, data)
+
+    @pytest.mark.parametrize("nodes,data", CASES)
+    def test_direct_route_orders_scale_across_every_rung(self, nodes, data):
+        self._check_orders_scale("direct", nodes, data)
+
+    @pytest.mark.parametrize("nodes,data", CASES)
+    def test_direct_route_indeterminate_only_at_requested_truncation(self, nodes, data):
+        # Smith's own exception on the reduced block would say less than 17
+        self._check_indeterminate_at_n("direct", nodes, data)
+
+
+class TestRoutesAgree:
+    """`family_contact` (square gluing matrix) against `family_cohomology`
+    (auxiliary divisor): equal exponents, h0_rank, contact and resolving
+    rung, or the same bound when both vanish to truncation."""
+
+    @staticmethod
+    def _families(curve, sheaf, rng, seed):
+        minimal = make_minimal_family(curve, sheaf, 16, seed=seed)
+        gluing = random_gluing_family(curve, sheaf, 16, rng)
+        yield minimal
+        yield gluing
+        yield random_gluing_family(curve, sheaf, 8, rng)
+        # higher rungs, and past N when k * h0 > 16
+        yield TestPrecisionLadder._reparametrized(minimal, rng.randint(2, 9))
+        # gluing scalars and twist points moving together
+        yield SheafFamily.make(sheaf, 16, dict(gluing.gluing_series), minimal.moving)
+
+    def _check(self, curve, sheaf, rng, seed):
+        for family in self._families(curve, sheaf, rng, seed):
+            direct = solved(family_contact, curve, family)
+            oracle = solved(
+                lambda c, f: family_cohomology(c, f, seed=seed + 1), curve, family
+            )
+            assert direct == oracle
+            if direct[0] != "indeterminate":
+                n = sheaf.nonfree_count
+                assert direct[0][:n] == (0,) * n and len(direct[0]) == curve.genus
+
+    def test_random_theta_points_every_nonfree_count(self):
+        rng = random.Random(59)
+        for g in range(1, 7):
+            for n in range(g + 1):
+                curve, sheaf = random_theta_point(rng, g, n)
+                self._check(curve, sheaf, rng, seed=10 * g + n)
+
+    def test_nonfree_points_with_two_or_more_sections(self):
+        rng = random.Random(60)
+        for g in range(4, 7):
+            for n in range(1, g - 2):
+                curve, sheaf = symmetric_point(g, n)
+                assert cohomology(curve, sheaf)[0] >= 2
+                self._check(curve, sheaf, rng, seed=g + n)
+
+    def test_no_conditions_left(self):
+        # every node non-free: the gluing matrix is 0 x 0, contact 0
+        curve, sheaf = random_theta_point(random.Random(61), 3, 3)
+        result = family_contact(curve, constant_family(sheaf, 16))
+        assert (result.exponents, result.theta_order, result.h0_rank) == ((0, 0, 0), 0, 0)
+        assert solved(family_contact, curve, constant_family(sheaf, 16)) == solved(
+            family_cohomology, curve, constant_family(sheaf, 16)
+        )
 
 
 class TestVerifyTheoremA:
@@ -378,6 +593,19 @@ class TestVerifyTheoremA:
         assert report.theta.h0 == 2
         assert report.family_order == 2
         assert report.theta.mult_theta == 2
+
+    @pytest.mark.parametrize("g,n", [(4, 1), (5, 1), (5, 2), (6, 1), (6, 3), (7, 2), (7, 4)])
+    def test_nonfree_points_with_two_or_more_sections(self, g, n):
+        curve, sheaf = symmetric_point(g, n)
+        h0_value = (g - 1 - n) // 2 + 1
+        report = verify_theorem_A(curve, sheaf, 16, seed=g)
+        assert report.theta.h0 == h0_value >= 2
+        assert report.family_order == h0_value
+        assert report.theta.mult_theta == 2**n * h0_value
+        exponents = report.theta.exponents
+        assert len(exponents) == g and exponents[:n] == (0,) * n
+        assert sum(exponents) == h0_value
+        assert all(o == "indeterminate" or o >= h0_value for o in report.random_family_orders)
 
     def test_off_theta_rejected(self):
         with pytest.raises(PreconditionError):
