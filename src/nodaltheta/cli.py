@@ -54,16 +54,15 @@ from .multiplicity import (
     RingSpec,
     check_eqnmat,
     hilbert_samuel,
-    mult_divisor_branchsum,
     ord_at_origin,
 )
 from .parsing import parse_series
-from .series import INFINITE, PowerSeries
+from .series import DEFAULT_TRUNCATION, INFINITE, PowerSeries
 
-# Defaults of --N/--truncation and --tmax; NODALTHETA_N and NODALTHETA_TMAX
-# override them, read on every dispatch so that a bad value is an input error
-# (exit 2), not an import-time traceback, and the parser is built only once.
-DEFAULT_N = 16
+# Default of --tmax (--N and --truncation default to DEFAULT_TRUNCATION);
+# NODALTHETA_N and NODALTHETA_TMAX override them, read on every dispatch so
+# that a bad value is an input error (exit 2), not an import-time traceback,
+# and the parser is built only once.
 DEFAULT_TMAX = 10
 
 
@@ -258,13 +257,12 @@ def _element(args, truncation: int) -> ModelElement:
 
 def _branchsum_payload(element: ModelElement) -> dict:
     report = check_eqnmat(element)
-    branch = mult_divisor_branchsum(element)
     return {
         "ord": report.ord_divisor,
         "mult_V": report.mult_model,
         "mult_D": report.mult_divisor,
-        "per_branch": [b.order for b in branch.per_branch],
-        "branches": [branch_label(b.branch) for b in branch.per_branch],
+        "per_branch": [b.order for b in report.per_branch],
+        "branches": [branch_label(b.branch) for b in report.per_branch],
         "eqnmat": {"holds": report.holds, "equality": report.equality},
     }
 
@@ -640,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> dict:
-    n = _env_int("NODALTHETA_N", DEFAULT_N)
+    n = _env_int("NODALTHETA_N", DEFAULT_TRUNCATION)
     defaults = {"N": n, "truncation": n, "tmax": _env_int("NODALTHETA_TMAX", DEFAULT_TMAX)}
     args = build_parser().parse_args(argv)
     for name, value in defaults.items():

@@ -26,10 +26,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import IndeterminateAtTruncation, PreconditionError, VerificationError
 from .linalg import rank_dense
-from .series import PowerSeries
+from .series import DEFAULT_TRUNCATION, PowerSeries, mul_lists
 from .smith import constant_matrix, diagonalize, kernel_basis
 
-DEFAULT_TRUNCATION = 16
 DROP_RESAMPLES = 5  # random points tried per twist in `general_drop_check`
 MINIMAL_FAMILY_BUDGET = 80  # divisor draws in `make_minimal_family`
 AUX_BUDGET = 40  # auxiliary-divisor draws in `family_cohomology`
@@ -265,7 +264,10 @@ class Classification:
 def classify_theta_point(curve: RationalNodalCurve, sheaf: TFSheaf) -> Classification:
     """Theta-point classification: the singular locus is W1 union the boundary."""
     _require_theta_degree(curve, sheaf)
-    h0_value, _ = cohomology(curve, sheaf)
+    return _classification(sheaf, cohomology(curve, sheaf)[0])
+
+
+def _classification(sheaf: TFSheaf, h0_value: int) -> Classification:
     on_theta = h0_value >= 1
     in_w1 = h0_value >= 2
     in_boundary = bool(sheaf.nonfree) and on_theta
@@ -306,11 +308,14 @@ def theta_invariants(curve: RationalNodalCurve, sheaf: TFSheaf) -> ThetaReport:
     to be locally free at n nodes, and the theta multiplicity is the product.
     """
     _require_theta_degree(curve, sheaf)
-    h0_value, h1_value = cohomology(curve, sheaf)
+    return _theta_report(sheaf, *cohomology(curve, sheaf))
+
+
+def _theta_report(sheaf: TFSheaf, h0_value: int, h1_value: int) -> ThetaReport:
     if h0_value != h1_value:
         raise VerificationError("degree g-1 sheaf must have h0 = h1")
     n = sheaf.nonfree_count
-    classification = classify_theta_point(curve, sheaf)
+    classification = _classification(sheaf, h0_value)
     return ThetaReport(
         n=n,
         h0=h0_value,
@@ -408,7 +413,12 @@ def make_minimal_family(
     family is already minimal with contact zero.
     """
     _require_theta_degree(curve, sheaf)
-    h0_value, _ = cohomology(curve, sheaf)
+    return _minimal_family(curve, sheaf, h0(curve, sheaf), truncation, seed)
+
+
+def _minimal_family(
+    curve: RationalNodalCurve, sheaf: TFSheaf, h0_value: int, truncation: int, seed: int
+) -> SheafFamily:
     if h0_value == 0:
         return constant_family(sheaf, truncation)
     rng = random.Random(seed)
@@ -453,17 +463,6 @@ class FamilyCohomology:
     precision: int  # working truncation that resolved the family, <= N
 
 
-def _unit_product(
-    factors: Sequence[Tuple[Fraction, PowerSeries]], truncation: int
-) -> PowerSeries:
-    """Product of (c - trajectory(t)) over the factors, as a unit series."""
-    result = PowerSeries.constant(("t",), 1, truncation)
-    for c, trajectory in factors:
-        const = PowerSeries.univariate({0: c}, truncation)
-        result = result * (const - trajectory)
-    return result
-
-
 def _gluing_rows(
     curve: RationalNodalCurve,
     family: SheafFamily,
@@ -471,32 +470,30 @@ def _gluing_rows(
     ncols: int,
     truncation: int,
 ) -> List[List[PowerSeries]]:
-    """Gluing conditions on sections of the family twisted by E, mod t^(truncation+1)."""
+    """Gluing conditions on sections of the family twisted by E, mod t^(truncation+1).
+
+    Row j is s(p_j) - c_j lambda_j(t) prod(p_j - m(t)) / prod(q_j - m(t)) s(q_j)
+    over the moving points m, with c_j the constant cross-ratio factor; it
+    is multiplied through by the unit prod(q_j - m(t)), which changes
+    neither the cokernel nor its exponents.
+    """
+    n = truncation
+    moving = [(m.base, [-c for c in m.trajectory.dense()[1: n + 1]]) for m in family.moving]
     rows = []
     for j, lam_series in family.gluing_series:
         p, q = curve.nodes[j]
         scalar = Fraction(1)
-        for m in family.moving:
-            scalar *= (q - m.base) / (p - m.base)
         for e in aux:
             scalar *= (p - e) / (q - e)
-        numerator = _unit_product(
-            [(p, m.trajectory) for m in family.moving], truncation
-        )
-        denominator = _unit_product(
-            [(q, m.trajectory) for m in family.moving], truncation
-        )
-        twisted = (
-            lam_series.truncate(truncation)
-            * numerator
-            * denominator.invert_unit()
-        ).scale(scalar)
-        row = []
-        for i in range(ncols):
-            entry = PowerSeries.univariate({0: p**i}, truncation) - twisted.scale(q**i)
-            row.append(entry)
-        rows.append(row)
-    return rows
+        left = [1] + [0] * n
+        right = lam_series.dense()[: n + 1]
+        for base, tail in moving:  # tail: -m(t) above its constant term
+            scalar *= (q - base) / (p - base)
+            left = mul_lists(left, [q - base] + tail, n)
+            right = mul_lists(right, [p - base] + tail, n)
+        right = [scalar * c for c in right]
+        rows.append([[p**i * a - q**i * b for a, b in zip(left, right)] for i in range(ncols)])
+    return [[PowerSeries.univariate(dict(enumerate(e)), n) for e in row] for row in rows]
 
 
 def _evaluate_sections(
@@ -700,7 +697,7 @@ def verify_theorem_A(
     h0_value, h1_value = cohomology(curve, sheaf)
     if h0_value < 1:
         raise PreconditionError("off-theta", "sheaf has h0 = 0: not a theta point")
-    family = make_minimal_family(curve, sheaf, truncation, seed)
+    family = _minimal_family(curve, sheaf, h0_value, truncation, seed)
     try:
         result = family_contact(curve, family)
     except IndeterminateAtTruncation as exc:
@@ -726,7 +723,7 @@ def verify_theorem_A(
                 f"random family contact {outcome.theta_order} below h0 {h0_value}"
             )
         random_orders.append(outcome.theta_order)
-    report = replace(theta_invariants(curve, sheaf), exponents=result.exponents)
+    report = replace(_theta_report(sheaf, h0_value, h1_value), exponents=result.exponents)
     return TheoremAReport(
         theta=report,
         family_order=result.theta_order,

@@ -19,7 +19,7 @@ from typing import Iterator, Tuple
 
 from .errors import PreconditionError
 from .parsing import parse_series
-from .series import INFINITE, Order, PowerSeries
+from .series import DEFAULT_TRUNCATION, INFINITE, Order, PowerSeries
 
 # Branch of the normalization: one surviving side per node, "u" or "v".
 BranchIndex = Tuple[str, ...]
@@ -57,7 +57,7 @@ class LocalModel:
         """All 2^n branches, u-side first at every node."""
         return product(("u", "v"), repeat=self.n)
 
-    def element(self, text: str, truncation: int = 16) -> "ModelElement":
+    def element(self, text: str, truncation: int = DEFAULT_TRUNCATION) -> "ModelElement":
         return reduce(self, parse_series(text, self.variables, truncation))
 
 

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 from .errors import PreconditionError
 from .linalg import pivot_columns, primitive
 from .localmodel import BranchOrder, LocalModel, ModelElement, branch_orders
-from .series import INFINITE, Order, PowerSeries
+from .series import DEFAULT_TRUNCATION, INFINITE, Order, PowerSeries
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class RingSpec:
 def model_ringspec(model: LocalModel, divisor: Optional[PowerSeries] = None) -> RingSpec:
     """Present a standard model (plus optional divisor) to the oracle."""
     variables = model.variables
-    truncation = divisor.truncation if divisor is not None else 16
+    truncation = divisor.truncation if divisor is not None else DEFAULT_TRUNCATION
     relations = []
     for u, v in model.node_pairs():
         exponent = tuple(1 if name in (u, v) else 0 for name in variables)
@@ -236,6 +236,7 @@ class InequalityReport:
     ord_divisor: int
     holds: bool
     equality: bool
+    per_branch: Tuple[BranchOrder, ...]  # the branch sum behind mult_divisor
 
 
 def check_eqnmat(element: ModelElement) -> InequalityReport:
@@ -254,4 +255,5 @@ def check_eqnmat(element: ModelElement) -> InequalityReport:
         ord_divisor=order,
         holds=branch.total >= ambient * order,
         equality=branch.total == ambient * order,
+        per_branch=branch.per_branch,
     )

@@ -14,13 +14,21 @@ there is no floating point anywhere.
 
 Values are immutable after construction and all operations are pure, so
 series are safe to share between threads.
+
+The univariate ring Q[t]/(t^(N+1)) also has a dense form, the one every
+loop over it runs on: a list of N+1 coefficients indexed by degree, ints
+where integral and Fractions otherwise.  A shorter list is a lower
+truncation, dividing by t^nu is a slice, `mul_lists` multiplies, `sub_mul`
+computes a - q*b in one product, `invert_list` inverts a unit and
+`pull_back` substitutes arcs.  Arc sampling, `substitute`, the Smith
+reduction, the determinant, `kernel_basis` and the curve's gluing rows all
+use it; `PowerSeries.dense` converts at the API boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .errors import PreconditionError
@@ -61,6 +69,8 @@ INFINITE = InfiniteOrder()
 Order = Union[int, InfiniteOrder]
 Rational = Union[Fraction, int]
 Exponent = tuple
+
+DEFAULT_TRUNCATION = 16  # N when a caller gives none: CLI --N, elements, families
 
 
 class PowerSeries:
@@ -199,8 +209,6 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         truncation = self._check_compatible(other)
-        if len(self.variables) == 1:
-            return self._mul_univariate(other, truncation)
         out: dict = {}
         for ea, ca in self.coefficients.items():
             da = sum(ea)
@@ -210,29 +218,6 @@ class PowerSeries:
                 e = tuple(x + y for x, y in zip(ea, eb))
                 out[e] = out.get(e, Fraction(0)) + ca * cb
         return PowerSeries(self.variables, out, truncation)
-
-    def _mul_univariate(self, other: "PowerSeries", truncation: int) -> "PowerSeries":
-        # Convolution over a common denominator: the inner loop is plain
-        # integer arithmetic, with one normalization per output coefficient.
-        if not self.coefficients or not other.coefficients:
-            return PowerSeries(self.variables, {}, truncation)
-        da = lcm(*(c.denominator for c in self.coefficients.values()))
-        db = lcm(*(c.denominator for c in other.coefficients.values()))
-        a = [0] * (truncation + 1)
-        for e, c in self.coefficients.items():
-            if e[0] <= truncation:
-                a[e[0]] = c.numerator * (da // c.denominator)
-        b = [0] * (truncation + 1)
-        for e, c in other.coefficients.items():
-            if e[0] <= truncation:
-                b[e[0]] = c.numerator * (db // c.denominator)
-        out = _mul_lists(a, b, truncation)
-        denominator = da * db
-        return PowerSeries(
-            self.variables,
-            {(d,): Fraction(n, denominator) for d, n in enumerate(out) if n},
-            truncation,
-        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -310,39 +295,29 @@ class PowerSeries:
             )
         return PowerSeries(self.variables, self.coefficients, truncation)
 
-    def shift_down(self, k: int) -> "PowerSeries":
-        """Divide a univariate series by t^k exactly.  Truncation drops by k."""
+    def dense(self) -> list:
+        """Coefficients of a univariate series by degree, truncation + 1 of them.
+
+        Integral coefficients come out as ints, so dense loops stay on
+        plain ints.
+        """
         if not self.is_univariate():
-            raise PreconditionError("univariate", "shift_down needs one variable")
-        if any(e[0] < k for e in self.coefficients):
-            raise PreconditionError("shift", f"series not divisible by t^{k}")
-        return PowerSeries(
-            self.variables,
-            {(e[0] - k,): c for e, c in self.coefficients.items()},
-            self.truncation - k,
-        )
+            raise PreconditionError("univariate", "dense needs one variable")
+        out = [0] * (self.truncation + 1)
+        for (d,), c in self.coefficients.items():
+            out[d] = exact(c)
+        return out
 
     def invert_unit(self) -> "PowerSeries":
         """Multiplicative inverse of a univariate series with nonzero constant term."""
         if not self.is_univariate():
             raise PreconditionError("univariate", "invert_unit needs one variable")
-        a0 = self.constant_term()
-        if a0 == 0:
+        if self.constant_term() == 0:
             raise PreconditionError("unit", "cannot invert: constant term is zero")
-        n = self.truncation
-        a = [Fraction(0)] * (n + 1)
-        for e, c in self.coefficients.items():
-            a[e[0]] = c
-        b = [Fraction(0)] * (n + 1)
-        b[0] = 1 / a0
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if a[i]:
-                    acc += a[i] * b[k - i]
-            b[k] = -acc / a0
-        return PowerSeries(
-            self.variables, {(k,): b[k] for k in range(n + 1) if b[k]}, n
+        return PowerSeries.univariate(
+            dict(enumerate(invert_list(self.dense()))),
+            self.truncation,
+            self.variables[0],
         )
 
     def substitute(
@@ -373,15 +348,8 @@ class PowerSeries:
                 raise PreconditionError(
                     "substitute", f"image of {v!r} has a nonzero constant term"
                 )
-        image_lists = []
-        for im in used.values():
-            dense = [0] * (n + 1)
-            for e, c in im.coefficients.items():
-                if e[0] <= n:
-                    dense[e[0]] = exact(c)
-            image_lists.append(dense)
         terms = [(e, exact(c)) for e, c in self.coefficients.items()]
-        pulled = pull_back(terms, image_lists, n)
+        pulled = pull_back(terms, [im.dense() for im in used.values()], n)
         return PowerSeries(
             (tvar,), {(d,): c for d, c in enumerate(pulled) if c}, n
         )
@@ -421,7 +389,8 @@ def exact(value: Rational) -> Rational:
     return int(value) if value.denominator == 1 else value
 
 
-def _mul_lists(a: list, b: list, n: int) -> list:
+def mul_lists(a: list, b: list, n: int) -> list:
+    """Product of two dense series modulo t^(n+1)."""
     out = [0] * (n + 1)
     nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
@@ -431,6 +400,22 @@ def _mul_lists(a: list, b: list, n: int) -> list:
                     break
                 out[i + j] += ai * bj
     return out
+
+
+def sub_mul(a: list, q: list, b: list) -> list:
+    """a - q*b, known to the truncation of the shortest of the three."""
+    n = min(len(a), len(q), len(b)) - 1
+    return [x - y for x, y in zip(a, mul_lists(q, b, n))]
+
+
+def invert_list(a: list) -> list:
+    """Inverse of a dense unit (a[0] != 0), as long as a."""
+    a0 = Fraction(a[0])
+    tail = [(i, c) for i, c in enumerate(a) if i and c]
+    out = [1 / a0]
+    for k in range(1, len(a)):
+        out.append(-sum(c * out[k - i] for i, c in tail if i <= k) / a0)
+    return [exact(c) for c in out]
 
 
 def pull_back(terms: Iterable, images: list, n: int) -> list:
@@ -450,8 +435,8 @@ def pull_back(terms: Iterable, images: list, n: int) -> list:
                 continue
             chain = powers.setdefault(i, [images[i]])  # chain[k] = images[i]^(k+1)
             while len(chain) < e:
-                chain.append(_mul_lists(chain[-1], images[i], n))
-            term = chain[e - 1] if term is None else _mul_lists(term, chain[e - 1], n)
+                chain.append(mul_lists(chain[-1], images[i], n))
+            term = chain[e - 1] if term is None else mul_lists(term, chain[e - 1], n)
             if not any(term):
                 break
         else:

@@ -1,9 +1,12 @@
 """Linear algebra over the truncated valuation ring Q[t]/(t^(N+1)).
 
-Matrices are lists of lists of univariate series.  Pivots for elimination
-must be units (nonzero constant term); Smith reduction instead pivots on an
-entry of minimal t-order, which divides every remaining entry, at the cost
-of one truncation level per order of the pivot.  The sum of the elementary
+Matrices are lists of lists of univariate series.  Each function converts
+their entries once on entry (`PowerSeries.dense`) and runs on the dense
+list core of `series`, with no `PowerSeries` inside its loops; results go
+back out as series.  Pivots for elimination must be units (nonzero
+constant term); Smith reduction instead pivots on an entry of minimal
+t-order, which divides every remaining entry, at the cost of one
+truncation level per order of the pivot.  The sum of the elementary
 divisor exponents equals the t-order of the determinant whenever the
 determinant does not vanish to truncation; `diagonalize` checks one against
 the other, with the determinant computed by Berkowitz's division-free
@@ -16,7 +19,7 @@ from typing import List, Tuple
 
 from .errors import IndeterminateAtTruncation, PreconditionError, VerificationError
 from .linalg import rank_dense
-from .series import INFINITE, PowerSeries
+from .series import PowerSeries, invert_list, mul_lists, sub_mul
 
 Matrix = List[List[PowerSeries]]
 
@@ -25,11 +28,27 @@ def constant_matrix(matrix: Matrix) -> List[List]:
     return [[entry.constant_term() for entry in row] for row in matrix]
 
 
-def _dot(xs, ys, zero: PowerSeries) -> PowerSeries:
-    total = zero
+def _dense(matrix: Matrix) -> List[List[list]]:
+    return [[entry.dense() for entry in row] for row in matrix]
+
+
+def _series(coefficients: list, var: str = "t") -> PowerSeries:
+    return PowerSeries.univariate(dict(enumerate(coefficients)), len(coefficients) - 1, var)
+
+
+def _order(coefficients: list):
+    """Degree of the first nonzero coefficient; None if zero to truncation."""
+    return next((d for d, c in enumerate(coefficients) if c), None)
+
+
+def _mul(a: list, b: list) -> list:
+    return mul_lists(a, b, min(len(a), len(b)) - 1)
+
+
+def _dot(xs: List[list], ys: List[list], n: int) -> list:
+    total = [0] * (n + 1)
     for x, y in zip(xs, ys):
-        if not (x.is_zero() or y.is_zero()):
-            total = total + x * y
+        total = [s + p for s, p in zip(total, _mul(x, y))]
     return total
 
 
@@ -43,29 +62,30 @@ def matrix_det(matrix: Matrix) -> PowerSeries:
     coefficients of B's polynomial to the block's.  That is O(n^4) ring
     operations with no division and no pivoting, so it holds over
     Q[t]/(t^(N+1)), zero divisors included, independently of Smith reduction.
+    The result is known to the lowest truncation among the entries.
     """
     n = len(matrix)
     if n == 0:
         raise PreconditionError("matrix", "empty matrix has no determinant here")
     if any(len(row) != n for row in matrix):
         raise PreconditionError("matrix", "determinant needs a square matrix")
-    template = matrix[0][0]
-    zero = PowerSeries.zero(template.variables, template.truncation)
-    one = PowerSeries.constant(template.variables, 1, template.truncation)
+    work = _dense(matrix)
+    w = min(len(entry) for row in work for entry in row) - 1
+    work = [[entry[: w + 1] for entry in row] for row in work]
+    one = [1] + [0] * w
     poly = [one]
     for k in range(n - 1, -1, -1):
-        row = matrix[k][k + 1:]
-        block = [r[k + 1:] for r in matrix[k + 1:]]
-        toeplitz = [one, -matrix[k][k]]
-        vector = [r[k] for r in matrix[k + 1:]]
+        row = work[k][k + 1:]
+        block = [r[k + 1:] for r in work[k + 1:]]
+        toeplitz = [one, [-c for c in work[k][k]]]
+        vector = [r[k] for r in work[k + 1:]]
         for j in range(len(block)):
             if j:
-                vector = [_dot(r, vector, zero) for r in block]
-            toeplitz.append(-_dot(row, vector, zero))
-        poly = [
-            _dot(toeplitz[i::-1], poly[: i + 1], zero) for i in range(len(poly) + 1)
-        ]
-    return poly[n] if n % 2 == 0 else -poly[n]
+                vector = [_dot(r, vector, w) for r in block]
+            toeplitz.append([-c for c in _dot(row, vector, w)])
+        poly = [_dot(toeplitz[i::-1], poly[: i + 1], w) for i in range(len(poly) + 1)]
+    det = poly[n] if n % 2 == 0 else [-c for c in poly[n]]
+    return _series(det, matrix[0][0].variables[0])
 
 
 def kernel_basis(matrix: Matrix, ncols: int, truncation: int) -> List[List[PowerSeries]]:
@@ -82,18 +102,14 @@ def kernel_basis(matrix: Matrix, ncols: int, truncation: int) -> List[List[Power
         if len(row) != ncols:
             raise PreconditionError("matrix", "ragged matrix")
 
-    work = [list(row) for row in matrix]
+    work = _dense(matrix)
     pivot_cols: List[int] = []
     for i in range(nrows):
         pivot_col = None
         for j in range(ncols):
             if j in pivot_cols:
                 continue
-            pivot_row = None
-            for r in range(i, nrows):
-                if work[r][j].constant_term() != 0:
-                    pivot_row = r
-                    break
+            pivot_row = next((r for r in range(i, nrows) if work[r][j][0]), None)
             if pivot_row is not None:
                 pivot_col = j
                 work[i], work[pivot_row] = work[pivot_row], work[i]
@@ -103,15 +119,12 @@ def kernel_basis(matrix: Matrix, ncols: int, truncation: int) -> List[List[Power
                 "condition matrix is rank deficient at t=0; "
                 "first cohomology of the twisted family does not vanish"
             )
-        inverse = work[i][pivot_col].invert_unit()
-        work[i] = [entry * inverse for entry in work[i]]
+        inverse = invert_list(work[i][pivot_col])
+        work[i] = [_mul(entry, inverse) for entry in work[i]]
         for r in range(nrows):
-            if r == i:
-                continue
             factor = work[r][pivot_col]
-            if factor.is_zero():
-                continue
-            work[r] = [a - factor * b for a, b in zip(work[r], work[i])]
+            if r != i and any(factor):
+                work[r] = [sub_mul(a, factor, b) for a, b in zip(work[r], work[i])]
         pivot_cols.append(pivot_col)
 
     zero = PowerSeries.zero(("t",), truncation)
@@ -123,7 +136,7 @@ def kernel_basis(matrix: Matrix, ncols: int, truncation: int) -> List[List[Power
         vector = [zero] * ncols
         vector[j] = one
         for i, pc in enumerate(pivot_cols):
-            vector[pc] = -work[i][j]
+            vector[pc] = _series([-c for c in work[i][j]])
         basis.append(vector)
     return basis
 
@@ -132,56 +145,46 @@ def smith_exponents(matrix: Matrix) -> List[int]:
     """Elementary divisor exponents: diagonalize to units times t^(e_i).
 
     The pivot at each step is an entry of globally minimal t-order nu; after
-    dividing it out, clearing its row and column only needs unit inversions.
-    Entries are known one truncation level less per pivot order consumed, so
-    the reduction resolves whenever the total order fits under the working
-    truncation; otherwise the remaining block vanishes to truncation and the
-    exponents are undetermined.
+    dividing it out (a slice of the dense entry), clearing its row and
+    column only needs unit inversions.  Entries are known one truncation
+    level less per pivot order consumed, so the reduction resolves whenever
+    the total order fits under the working truncation; otherwise the
+    remaining block vanishes to truncation and the exponents are
+    undetermined.
     """
-    work = [list(row) for row in matrix]
+    work = _dense(matrix)
     nrows = len(work)
     ncols = len(work[0]) if work else 0
-    steps = min(nrows, ncols)
     exponents: List[int] = []
-    for k in range(steps):
+    for k in range(min(nrows, ncols)):
         best = None
-        best_order = INFINITE
         for i in range(k, nrows):
             for j in range(k, ncols):
-                order = work[i][j].order()
-                if order is INFINITE:
-                    continue
-                if best is None or order < best_order:
-                    best = (i, j)
-                    best_order = order
+                order = _order(work[i][j])
+                if order is not None and (best is None or order < best[0]):
+                    best = (order, i, j)
         if best is None:
             truncation = min(
-                work[i][j].truncation for i in range(k, nrows) for j in range(k, ncols)
-            )
+                len(work[i][j]) for i in range(k, nrows) for j in range(k, ncols)
+            ) - 1
             raise IndeterminateAtTruncation(truncation)
-        bi, bj = best
+        nu, bi, bj = best
         work[k], work[bi] = work[bi], work[k]
         for row in work:
             row[k], row[bj] = row[bj], row[k]
-        nu = best_order
         exponents.append(nu)
-        pivot_unit = work[k][k].shift_down(nu)
-        pivot_inverse = pivot_unit.invert_unit()
+        pivot_inverse = invert_list(work[k][k][nu:])
         for i in range(k + 1, nrows):
             entry = work[i][k]
-            if entry.is_zero():
-                continue
-            quotient = entry.shift_down(nu) * pivot_inverse
-            work[i] = [
-                a - quotient * b for a, b in zip(work[i], work[k])
-            ]
+            if any(entry):
+                quotient = _mul(entry[nu:], pivot_inverse)
+                work[i] = [sub_mul(a, quotient, b) for a, b in zip(work[i], work[k])]
         for j in range(k + 1, ncols):
             entry = work[k][j]
-            if entry.is_zero():
-                continue
-            quotient = entry.shift_down(nu) * pivot_inverse
-            for i in range(nrows):
-                work[i][j] = work[i][j] - quotient * work[i][k]
+            if any(entry):
+                quotient = _mul(entry[nu:], pivot_inverse)
+                for row in work:
+                    row[j] = sub_mul(row[j], quotient, row[k])
     return exponents
 
 

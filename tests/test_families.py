@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,13 @@ from nodaltheta.curve import (
     family_contact,
     make_minimal_family,
     random_gluing_family,
+    theta_invariants,
     verify_theorem_A,
 )
-from nodaltheta.errors import IndeterminateAtTruncation, PreconditionError
+from nodaltheta.errors import IndeterminateAtTruncation, PreconditionError, VerificationError
 from nodaltheta.parsing import parse_series
 from nodaltheta.series import PowerSeries
-from nodaltheta.smith import diagonalize, matrix_det, smith_exponents
+from nodaltheta.smith import diagonalize, kernel_basis, matrix_det, smith_exponents
 
 
 def curve_of(*pairs):
@@ -108,6 +110,13 @@ class TestSmith:
         assert diagonalize([[tser("2 + t", 8)]], 8) == ((0,), 0)
         assert diagonalize([], 8) == ((), 0)
 
+    def test_kernel_basis_claims_no_more_than_its_entries_know(self):
+        # 1/(1+t) is known mod t^3 only, so the kernel vector is too
+        basis = kernel_basis([[tser("1 + t", 2), tser("t", 8)]], 2, 8)
+        assert basis == [[tser("-t + t^2", 2), tser("1", 8)]]
+        with pytest.raises(VerificationError):
+            kernel_basis([[tser("t", 4), tser("t^2", 4)]], 2, 4)
+
     def test_exponent_sum_matches_determinant_order(self):
         rng = random.Random(51)
         for _ in range(40):
@@ -126,6 +135,59 @@ class TestSmith:
             if det.is_zero():
                 continue
             assert sum(smith_exponents(matrix)) == det.order()
+
+
+class TestSmithUnimodularInvariance:
+    """Smith exponents are invariants of the cokernel: random unimodular
+    row and column operations over Q[t] must not move them."""
+
+    @staticmethod
+    def _polynomial(rng, truncation, low=0):
+        return PowerSeries.univariate(
+            {d: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for d in range(low, 4)},
+            truncation,
+        )
+
+    def _unit(self, rng, truncation):
+        constant = PowerSeries.constant(("t",), rng.choice([-2, -1, 1, 3]), truncation)
+        return constant + self._polynomial(rng, truncation, low=1)
+
+    def _operate(self, rng, matrix, truncation):
+        """One elementary operation on rows, or on columns via the transpose."""
+        on_columns = rng.random() < 0.5
+        work = [list(col) for col in zip(*matrix)] if on_columns else [list(r) for r in matrix]
+        size = len(work)
+        kind = rng.choice(["add", "swap", "scale"]) if size > 1 else "scale"
+        if kind == "scale":
+            i = rng.randrange(size)
+            unit = self._unit(rng, truncation)
+            work[i] = [unit * entry for entry in work[i]]
+        else:
+            i, j = rng.sample(range(size), 2)
+            if kind == "swap":
+                work[i], work[j] = work[j], work[i]
+            else:
+                factor = self._polynomial(rng, truncation)
+                work[i] = [a + factor * b for a, b in zip(work[i], work[j])]
+        return [list(col) for col in zip(*work)] if on_columns else work
+
+    def test_exponents_survive_unimodular_operations(self):
+        rng = random.Random(61)
+        truncation = 14
+        for trial in range(60):
+            size = trial % 4 + 1
+            exponents = sorted(rng.randint(0, 3) for _ in range(size))
+            matrix = [
+                [
+                    PowerSeries.univariate({exponents[i]: 1} if i == j else {}, truncation)
+                    for j in range(size)
+                ]
+                for i in range(size)
+            ]
+            for _ in range(rng.randint(1, 8)):
+                matrix = self._operate(rng, matrix, truncation)
+                assert smith_exponents(matrix) == exponents
+                assert matrix_det(matrix).order() == sum(exponents)
 
 
 def subset_expansion_det(matrix):
@@ -593,6 +655,24 @@ class TestVerifyTheoremA:
         assert report.theta.h0 == 2
         assert report.family_order == 2
         assert report.theta.mult_theta == 2
+
+    def test_cohomology_of_the_point_computed_once(self, monkeypatch):
+        import nodaltheta.curve as curve_module
+
+        seen = []
+        original = curve_module.cohomology
+
+        def counting(curve, sheaf):
+            seen.append(sheaf)
+            return original(curve, sheaf)
+
+        monkeypatch.setattr(curve_module, "cohomology", counting)
+        curve, sheaf = symmetric_point(6, 1)
+        report = verify_theorem_A(curve, sheaf, 16, seed=3)
+        expected = replace(theta_invariants(curve, sheaf), exponents=report.theta.exponents)
+        assert report.theta == expected
+        # once in verify_theorem_A, once in theta_invariants above; the rest are twists
+        assert seen.count(sheaf) == 2
 
     @pytest.mark.parametrize("g,n", [(4, 1), (5, 1), (5, 2), (6, 1), (6, 3), (7, 2), (7, 4)])
     def test_nonfree_points_with_two_or_more_sections(self, g, n):

@@ -252,6 +252,17 @@ class TestInequality:
                 report = check_eqnmat(f)
                 assert report.holds
 
+    def test_report_carries_its_branch_sum(self):
+        rng = random.Random(23)
+        for n, m in [(1, 1), (2, 1), (2, 0)]:
+            model = LocalModel(n, m)
+            for _ in range(5):
+                f = random_clean_element(rng, model)
+                branch = mult_divisor_branchsum(f)
+                report = check_eqnmat(f)
+                assert report.per_branch == branch.per_branch
+                assert report.mult_divisor == sum(b.order for b in report.per_branch)
+
     def test_smooth_model_always_equality(self):
         rng = random.Random(22)
         model = LocalModel(0, 2)

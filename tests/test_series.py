@@ -5,7 +5,7 @@ import pytest
 
 from nodaltheta.errors import PreconditionError
 from nodaltheta.parsing import parse_series
-from nodaltheta.series import INFINITE, PowerSeries
+from nodaltheta.series import INFINITE, PowerSeries, invert_list, mul_lists, sub_mul
 
 
 def ps(text, variables=("x", "y"), truncation=10):
@@ -194,13 +194,48 @@ class TestUnivariateHelpers:
         with pytest.raises(PreconditionError):
             tser("t").invert_unit()
 
-    def test_shift_down(self):
-        s = tser("t^2 + t^3", truncation=8)
-        shifted = s.shift_down(2)
-        assert shifted == parse_series("1 + t", ("t",), 6)
-        with pytest.raises(PreconditionError):
-            tser("1 + t").shift_down(1)
-
     def test_zero_out(self):
         f = parse_series("x + y^2 + x*y", ("x", "y"), 6)
         assert f.zero_out(["y"]) == parse_series("x", ("x",), 6)
+
+
+def random_univariate(rng, truncation, unit=False):
+    coefficients = {
+        d: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        for d in range(truncation + 1)
+        if rng.random() < 0.6
+    }
+    if unit:
+        coefficients[0] = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+    return PowerSeries.univariate(coefficients, truncation)
+
+
+class TestDenseCore:
+    def test_dense_round_trip(self):
+        s = tser("3 - 1/2*t^2 + t^4", truncation=5)
+        assert s.dense() == [3, 0, Fraction(-1, 2), 0, 1, 0]
+        assert all(type(c) is int for c in tser("2 + t").dense())
+        assert PowerSeries.univariate(dict(enumerate(s.dense())), 5) == s
+        with pytest.raises(PreconditionError):
+            ps("x + y").dense()
+
+    def test_invert_list_agrees_with_invert_unit(self):
+        rng = random.Random(5)
+        for trial in range(200):
+            truncation = trial % 9  # truncation 0 included
+            s = random_univariate(rng, truncation, unit=True)
+            inverse = s.invert_unit()
+            assert invert_list(s.dense()) == inverse.dense()
+            assert inverse.truncation == truncation
+            assert s * inverse == PowerSeries.constant(("t",), 1, truncation)
+
+    def test_products_agree_with_the_series_product(self):
+        rng = random.Random(6)
+        for trial in range(200):
+            ta, tb = rng.randint(0, 8), rng.randint(0, 8)
+            a, b = random_univariate(rng, ta), random_univariate(rng, tb)
+            n = min(ta, tb)
+            assert mul_lists(a.dense(), b.dense(), n) == (a * b).dense()
+            c = random_univariate(rng, rng.randint(0, 8))
+            difference = sub_mul(c.dense(), a.dense(), b.dense())
+            assert difference == (c - a * b).dense()
