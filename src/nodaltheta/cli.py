@@ -174,14 +174,23 @@ def load_curve(text_or_path: str) -> RationalNodalCurve:
     return RationalNodalCurve(tuple(nodes))
 
 
+def _field(payload: dict, key: str, kind: type, check: str):
+    """`payload[key]` (a fresh `kind` when absent), which must be a `kind`."""
+    value = payload.get(key, kind())
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "an array"
+        raise PreconditionError(check, f"{key} must be {shape}")
+    return value
+
+
 def load_sheaf(text_or_path: str) -> TFSheaf:
     payload = _load_json(text_or_path)
     gluing = {
         _int_from_json(j, "sheaf"): rational_from_json(v)
-        for j, v in payload.get("glue", {}).items()
+        for j, v in _field(payload, "glue", dict, "sheaf").items()
     }
     return TFSheaf.make(
-        [_int_from_json(j, "sheaf") for j in payload.get("nonfree", [])],
+        [_int_from_json(j, "sheaf") for j in _field(payload, "nonfree", list, "sheaf")],
         _int_from_json(payload["dL"], "sheaf"),
         gluing,
     )
@@ -191,12 +200,14 @@ def load_family(text_or_path: str, sheaf: TFSheaf, truncation: int) -> SheafFami
     payload = _load_json(text_or_path)
     n = _int_from_json(payload.get("N", truncation), "family")
     gluing_series = {}
-    for j, expr in payload.get("glueSeries", {}).items():
-        gluing_series[int(j)] = parse_series(str(expr), ("t",), n)
+    for j, expr in _field(payload, "glueSeries", dict, "family").items():
+        gluing_series[_int_from_json(j, "family")] = parse_series(str(expr), ("t",), n)
     for j, lam in sheaf.gluing:
         gluing_series.setdefault(j, PowerSeries.univariate({0: lam}, n))
     moving = []
-    for entry in payload.get("moving", []):
+    for entry in _field(payload, "moving", list, "family"):
+        if not isinstance(entry, dict):
+            raise PreconditionError("family", f"moving point {entry!r} is not an object")
         base = rational_from_json(entry["base"])
         trajectory = parse_series(str(entry["trajectory"]), ("t",), n)
         moving.append(MovingPoint(base=base, trajectory=trajectory))

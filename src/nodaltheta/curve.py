@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import IndeterminateAtTruncation, PreconditionError, VerificationError
@@ -509,17 +510,15 @@ def _evaluate_sections(
         raise VerificationError(
             f"section module has rank {len(sections)}, expected {g}"
         )
+    sections = [[entry.dense() for entry in section] for section in sections]
     phi = []
     for e in aux:
-        phi_row = []
         powers = [e**i for i in range(ncols)]
-        for section in sections:
-            value = PowerSeries.zero(("t",), truncation)
-            for power, coeff_series in zip(powers, section):
-                if not coeff_series.is_zero():
-                    value = value + coeff_series.scale(power)
-            phi_row.append(value)
-        phi.append(phi_row)
+        values = (
+            [sum(map(mul, powers, coefficients)) for coefficients in zip(*section)]
+            for section in sections
+        )
+        phi.append([PowerSeries.univariate(dict(enumerate(v)), len(v) - 1) for v in values])
     return phi
 
 
@@ -697,6 +696,8 @@ def verify_theorem_A(
     h0_value, h1_value = cohomology(curve, sheaf)
     if h0_value < 1:
         raise PreconditionError("off-theta", "sheaf has h0 = 0: not a theta point")
+    if truncation < h0_value:
+        raise PreconditionError("truncation", f"N = {truncation} is below h0 = {h0_value}")
     family = _minimal_family(curve, sheaf, h0_value, truncation, seed)
     try:
         result = family_contact(curve, family)

@@ -1,8 +1,9 @@
 """Exact rank and echelon pivots over the rationals.
 
-Rows are sparse maps from column index to coefficient.  Elimination is
-integer-only: each input row has its denominators cleared once, on entry,
-and the update rule  r <- a * r - b * pivot  (a, b the leading entries over
+Rows are sparse maps from column index to coefficient.  `pivot_columns`
+takes rows of nonzero ints, not necessarily primitive; the rational entry
+points `rank_sparse` and `rank_dense` clear denominators once (`primitive`).
+The update rule  r <- a * r - b * pivot  (a, b the leading entries over
 their gcd) keeps every entry an int, with the row's content divided out
 after every step to control growth.  The echelon basis is kept by leading
 column, the smallest column index of a row, so a caller that numbers its
@@ -31,10 +32,9 @@ def primitive(row: dict) -> dict:
 
 
 def pivot_columns(rows: Iterable[dict]) -> List[int]:
-    """Sorted leading columns of an echelon basis of the rows' span over Q."""
+    """Sorted leading columns of an echelon basis of the integer rows' span over Q."""
     pivots: Dict[int, dict] = {}
-    for raw in rows:
-        row = primitive(raw)
+    for row in rows:
         while row:
             col = min(row)
             pivot = pivots.get(col)
@@ -56,12 +56,9 @@ def pivot_columns(rows: Iterable[dict]) -> List[int]:
 
 
 def rank_sparse(rows: Iterable[dict]) -> int:
-    """Rank over Q of the span of the given sparse rows."""
-    return len(pivot_columns(rows))
+    """Rank over Q of the span of the given sparse rational rows."""
+    return len(pivot_columns(primitive(row) for row in rows))
 
 
 def rank_dense(matrix: List[List[Fraction]]) -> int:
-    rows = []
-    for row in matrix:
-        rows.append({j: v for j, v in enumerate(row) if v})
-    return rank_sparse(rows)
+    return rank_sparse(dict(enumerate(row)) for row in matrix)

@@ -5,12 +5,12 @@ their entries once on entry (`PowerSeries.dense`) and runs on the dense
 list core of `series`, with no `PowerSeries` inside its loops; results go
 back out as series.  Pivots for elimination must be units (nonzero
 constant term); Smith reduction instead pivots on an entry of minimal
-t-order, which divides every remaining entry, at the cost of one
-truncation level per order of the pivot.  The sum of the elementary
-divisor exponents equals the t-order of the determinant whenever the
-determinant does not vanish to truncation; `diagonalize` checks one against
-the other, with the determinant computed by Berkowitz's division-free
-algorithm.
+t-order, which divides every remaining entry, and shrinks the block to its
+Schur complement, where only the rows a pivot updates lose precision.  The
+sum of the elementary divisor exponents equals the t-order of the
+determinant whenever the determinant does not vanish to truncation;
+`diagonalize` checks one against the other, with the determinant computed
+by Berkowitz's division-free algorithm.
 """
 
 from __future__ import annotations
@@ -142,49 +142,35 @@ def kernel_basis(matrix: Matrix, ncols: int, truncation: int) -> List[List[Power
 
 
 def smith_exponents(matrix: Matrix) -> List[int]:
-    """Elementary divisor exponents: diagonalize to units times t^(e_i).
+    """Elementary divisor exponents, the t-orders of the successive pivots.
 
-    The pivot at each step is an entry of globally minimal t-order nu; after
-    dividing it out (a slice of the dense entry), clearing its row and
-    column only needs unit inversions.  Entries are known one truncation
-    level less per pivot order consumed, so the reduction resolves whenever
-    the total order fits under the working truncation; otherwise the
-    remaining block vanishes to truncation and the exponents are
-    undetermined.
+    Each step takes an entry of least t-order nu, clears its column with row
+    updates, records nu and drops the pivot's row and column: the block
+    shrinks to its Schur complement.  An updated row is known nu truncation
+    levels less; a row whose pivot-column entry is zero to its truncation L
+    skips an O(t^(L+1)) update and keeps L.  A block that vanishes to
+    truncation leaves the remaining exponents undetermined.
     """
     work = _dense(matrix)
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
     exponents: List[int] = []
-    for k in range(min(nrows, ncols)):
+    while work and work[0]:
         best = None
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                order = _order(work[i][j])
+        for i, row in enumerate(work):
+            for j, entry in enumerate(row):
+                order = _order(entry)
                 if order is not None and (best is None or order < best[0]):
                     best = (order, i, j)
         if best is None:
-            truncation = min(
-                len(work[i][j]) for i in range(k, nrows) for j in range(k, ncols)
-            ) - 1
-            raise IndeterminateAtTruncation(truncation)
+            raise IndeterminateAtTruncation(min(len(e) for row in work for e in row) - 1)
         nu, bi, bj = best
-        work[k], work[bi] = work[bi], work[k]
-        for row in work:
-            row[k], row[bj] = row[bj], row[k]
+        pivot_row = work.pop(bi)
+        pivot_inverse = invert_list(pivot_row.pop(bj)[nu:])
+        for i, row in enumerate(work):
+            entry = row.pop(bj)
+            if any(entry):
+                quotient = _mul(entry[nu:], pivot_inverse)
+                work[i] = [sub_mul(a, quotient, b) for a, b in zip(row, pivot_row)]
         exponents.append(nu)
-        pivot_inverse = invert_list(work[k][k][nu:])
-        for i in range(k + 1, nrows):
-            entry = work[i][k]
-            if any(entry):
-                quotient = _mul(entry[nu:], pivot_inverse)
-                work[i] = [sub_mul(a, quotient, b) for a, b in zip(work[i], work[k])]
-        for j in range(k + 1, ncols):
-            entry = work[k][j]
-            if any(entry):
-                quotient = _mul(entry[nu:], pivot_inverse)
-                for row in work:
-                    row[j] = sub_mul(row[j], quotient, row[k])
     return exponents
 
 

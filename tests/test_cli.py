@@ -16,6 +16,7 @@ GOLDEN = REPO / "golden"
 
 CURVE_G1 = '{"nodes":[[0,1]]}'
 SHEAF_TRIVIAL = '{"nonfree":[],"dL":0,"glue":{"0":1}}'
+FAMILY = ["family", "--sheaf", SHEAF_TRIVIAL, "--family"]
 
 
 def run(capsys, argv):
@@ -172,6 +173,32 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == check
+
+    @pytest.mark.parametrize(
+        "argv, check",
+        [
+            (["theta", "--sheaf", '{"dL":0,"glue":[1]}'], "sheaf"),
+            (["theta", "--sheaf", '{"nonfree":5,"dL":0,"glue":{"0":1}}'], "sheaf"),
+            (FAMILY + ['{"glueSeries":{"x":"1+t"}}'], "family"),
+            (FAMILY + ['{"glueSeries":[1]}'], "family"),
+            (FAMILY + ['{"moving":5}'], "family"),
+            (FAMILY + ['{"moving":[5]}'], "family"),
+        ],
+    )
+    def test_malformed_json_shape_is_exit_2(self, capsys, argv, check):
+        code, out, err = run(capsys, argv + ["--curve", CURVE_G1])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == check
+
+    def test_verify_truncation_below_h0_is_exit_2(self, capsys):
+        argv = ["verify-A", "--curve", '{"nodes":[[0,1],[2,3]]}',
+                "--sheaf", '{"dL":1,"glue":{"0":1,"1":1}}', "--N"]
+        code, out, err = run(capsys, argv + ["0"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "truncation"
+        code, out, _ = run(capsys, argv + ["1"])
+        assert code == 0
+        assert json.loads(out)["familyOrder"] == 1
 
     def test_negative_arc_count_is_exit_2(self, capsys):
         code, out, err = run(

@@ -104,6 +104,14 @@ class TestSmith:
         resolved = [[tser("t^3", 6), tser("0", 6)], [tser("0", 6), tser("t^3", 6)]]
         assert diagonalize(resolved, 6) == ((3, 3), 2)
 
+    def test_rows_off_the_pivot_column_keep_their_truncation(self):
+        # the pivot t touches no other row, so t^4 stays known mod t^5 and
+        # Smith resolves; the exponents sum past 4, so diagonalize does not
+        matrix = [[tser("t", 4), tser("t", 4)], [tser("0", 4), tser("t^4", 4)]]
+        assert smith_exponents(matrix) == [1, 4]
+        with pytest.raises(IndeterminateAtTruncation):
+            diagonalize(matrix, 4)
+
     def test_diagonalize_reports_corank_at_zero(self):
         matrix = [[tser("t", 8), tser("t", 8)], [tser("t", 8), tser("t + t^3", 8)]]
         assert diagonalize(matrix, 8) == ((1, 3), 2)
@@ -174,20 +182,22 @@ class TestSmithUnimodularInvariance:
     def test_exponents_survive_unimodular_operations(self):
         rng = random.Random(61)
         truncation = 14
-        for trial in range(60):
-            size = trial % 4 + 1
-            exponents = sorted(rng.randint(0, 3) for _ in range(size))
+        shapes = [(1, 1), (2, 2), (3, 3), (4, 4), (2, 3), (3, 2), (1, 4)]
+        for trial in range(84):
+            nrows, ncols = shapes[trial % len(shapes)]
+            exponents = sorted(rng.randint(0, 3) for _ in range(min(nrows, ncols)))
             matrix = [
                 [
                     PowerSeries.univariate({exponents[i]: 1} if i == j else {}, truncation)
-                    for j in range(size)
+                    for j in range(ncols)
                 ]
-                for i in range(size)
+                for i in range(nrows)
             ]
             for _ in range(rng.randint(1, 8)):
                 matrix = self._operate(rng, matrix, truncation)
                 assert smith_exponents(matrix) == exponents
-                assert matrix_det(matrix).order() == sum(exponents)
+                if nrows == ncols:
+                    assert matrix_det(matrix).order() == sum(exponents)
 
 
 def subset_expansion_det(matrix):
@@ -690,6 +700,14 @@ class TestVerifyTheoremA:
     def test_off_theta_rejected(self):
         with pytest.raises(PreconditionError):
             verify_theorem_A(G1, sheaf_of([], 0, {0: 2}), 16, seed=0)
+
+    def test_truncation_below_h0_rejected(self):
+        # the minimal family has contact h0, which N < h0 cannot resolve
+        curve, sheaf = symmetric_point(5, 0)
+        with pytest.raises(PreconditionError) as info:
+            verify_theorem_A(curve, sheaf, 2, seed=0)
+        assert info.value.name == "truncation"
+        assert verify_theorem_A(curve, sheaf, 3, seed=0).family_order == 3
 
 
 class TestFamilyValidation:

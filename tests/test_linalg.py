@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from nodaltheta.linalg import pivot_columns, rank_dense, rank_sparse
+from nodaltheta.linalg import pivot_columns, primitive, rank_dense, rank_sparse
 
 
 def naive_rank(matrix):
@@ -75,7 +75,8 @@ def random_matrix(rng, nrows, ncols, density=0.5):
 
 
 def sparse(matrix):
-    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    """Integer rows for `pivot_columns`, through the same `primitive` as `rank_sparse`."""
+    return [primitive({j: v for j, v in enumerate(row)}) for row in matrix]
 
 
 def test_pivots_below_k_count_rank_of_projection():
@@ -110,3 +111,16 @@ def test_rank_and_pivots_invariant_under_row_operations():
                 mixed[i] = [a + factor * b for a, b in zip(mixed[i], mixed[j])]
         assert rank_dense(mixed) == rank == naive_rank(matrix)
         assert pivot_columns(sparse(mixed)) == pivots
+
+
+def test_pivots_ignore_row_content():
+    # pivot_columns takes integer rows as they come; a common factor in a
+    # row, including one kept as a pivot, must not move the pivots
+    rng = random.Random(13)
+    assert pivot_columns([{0: 6, 2: 4}, {0: 9, 1: 3, 2: 6}, {1: 10}]) == [0, 1]
+    for _ in range(40):
+        matrix = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 7))
+        rows = sparse(matrix)
+        factors = [rng.choice([-6, 2, 3, 10]) for _ in rows]
+        scaled = [{c: k * v for c, v in row.items()} for k, row in zip(factors, rows)]
+        assert pivot_columns(scaled) == pivot_columns(rows)

@@ -164,6 +164,17 @@ class TestGradedElimination:
             table = hilbert_samuel(ring, t_max)
             assert table.values == per_degree_hilbert_function(ring, t_max), ring
 
+    def test_truncated_shifts_that_lose_primitivity(self):
+        # shifts of 2x + 3y^5 of degree >= t_max - 4 drop the y^5 term, so
+        # their rows have content 2 and reach the elimination as they are
+        for relations in (["2*x + 3*y^5"], ["2*x + 3*y^5", "4*x*y^2 - 6*y^3"]):
+            ring = spec(("x", "y"), relations)
+            for t_max in (3, 6, 9):
+                table = hilbert_samuel(ring, t_max)
+                assert table.values == per_degree_hilbert_function(ring, t_max), (
+                    relations, t_max
+                )
+
     def test_no_stabilization_below_generator_order(self):
         ring = spec(("x", "y"), ["x^12"], truncation=16)
         assert not hilbert_samuel(ring, 10).stabilized
