@@ -6,9 +6,17 @@ JSON report to standard output: keys sorted, compact separators, rationals
 rendered as decimal strings when integral and "p/q" otherwise.  Output for
 identical inputs and seed is byte-identical across runs.
 
-Exit statuses: 0 success, 2 precondition or validation failure (diagnostic
-names the violated check), 3 internal assertion failure, which means a bug
-or a counterexample and is deliberately loud.
+Input is checked in two places.  The argument parser checks that each flag
+is present and well formed; its errors fail the check `argv`.  Every JSON
+argument is read by `_load_json` and its keys by `_field`, which name the
+argument's check (`curve`, `sheaf`, `family`, `arc`, `model`, `aux-divisor`,
+`golden`) when a shape is wrong or a required key is missing; text that
+cannot be read or parsed is an `input` error.
+
+Exit statuses, one row of `_EXITS` per exception type: 0 success, 2
+precondition or validation failure (one JSON line on standard error naming
+the violated check), 3 internal assertion failure, which means a bug or a
+counterexample and is deliberately loud.  No traceback reaches the user.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from .multiplicity import (
     RingSpec,
     check_eqnmat,
     hilbert_samuel,
+    model_ringspec,
     ord_at_origin,
 )
 from .parsing import parse_series
@@ -124,11 +133,33 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _load_json(text_or_path: str) -> dict:
+_SHAPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _shaped(value, kind: type, check: str, what: str):
+    """`value`, which must be a `kind`, or the check `check` fails."""
+    if not isinstance(value, kind):
+        raise PreconditionError(check, f"{what} must be {_SHAPES[kind]}")
+    return value
+
+
+def _field(payload: dict, key: str, check: str, kind: type = object, default=None):
+    """`payload[key]`, which must be a `kind`; `default` when the key is
+    absent, and a key without a default is required."""
+    if key not in payload:
+        if default is None:
+            raise PreconditionError(check, f"missing key {key!r}")
+        return default
+    return _shaped(payload[key], kind, check, key)
+
+
+def _load_json(text_or_path: str, check: str) -> dict:
+    """A JSON object given inline or as a file path.  A malformed shape fails
+    `check`; unreadable or unparsable text is an `input` error."""
     text = text_or_path.strip()
-    if text.startswith("{"):
-        return json.loads(text)
-    return json.loads(Path(text_or_path).read_text(encoding="utf-8"))
+    if not text.startswith("{"):
+        text = Path(text_or_path).read_text(encoding="utf-8")
+    return _shaped(json.loads(text), dict, check, "the argument")
 
 
 # -- input object builders ---------------------------------------------------
@@ -138,9 +169,9 @@ def parse_model_flag(text: str) -> LocalModel:
     """Model syntax: inline "n=1,m=1" or a JSON object {"n": 1, "m": 1}."""
     text = text.strip()
     if text.startswith("{"):
-        payload = json.loads(text)
+        payload = _load_json(text, "model")
         return LocalModel(
-            _int_from_json(payload["n"], "model"), _int_from_json(payload["m"], "model")
+            *(_int_from_json(_field(payload, key, "model"), "model") for key in "nm")
         )
     values = {}
     for part in text.split(","):
@@ -154,72 +185,57 @@ def parse_model_flag(text: str) -> LocalModel:
     return LocalModel(values.get("n", 0), values.get("m", 0))
 
 
+def _point(value):
+    if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
+        return INFINITY
+    return rational_from_json(value)
+
+
 def load_curve(text_or_path: str) -> RationalNodalCurve:
-    payload = _load_json(text_or_path)
-    if not isinstance(payload["nodes"], list):
-        raise PreconditionError("curve", "nodes must be a list of point pairs")
     nodes = []
-    for pair in payload["nodes"]:
-        if not isinstance(pair, list):
-            raise PreconditionError("curve", f"node {pair!r} is not a list of two points")
-        points = []
-        for value in pair:
-            if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
-                points.append(INFINITY)
-            else:
-                points.append(rational_from_json(value))
-        if len(points) != 2:
+    for pair in _field(_load_json(text_or_path, "curve"), "nodes", "curve", list):
+        if len(_shaped(pair, list, "curve", "each node")) != 2:
             raise PreconditionError("curve", "each node needs exactly two points")
-        nodes.append((points[0], points[1]))
+        nodes.append((_point(pair[0]), _point(pair[1])))
     return RationalNodalCurve(tuple(nodes))
 
 
-def _field(payload: dict, key: str, kind: type, check: str):
-    """`payload[key]` (a fresh `kind` when absent), which must be a `kind`."""
-    value = payload.get(key, kind())
-    if not isinstance(value, kind):
-        shape = "an object" if kind is dict else "an array"
-        raise PreconditionError(check, f"{key} must be {shape}")
-    return value
-
-
 def load_sheaf(text_or_path: str) -> TFSheaf:
-    payload = _load_json(text_or_path)
+    payload = _load_json(text_or_path, "sheaf")
     gluing = {
         _int_from_json(j, "sheaf"): rational_from_json(v)
-        for j, v in _field(payload, "glue", dict, "sheaf").items()
+        for j, v in _field(payload, "glue", "sheaf", dict, {}).items()
     }
     return TFSheaf.make(
-        [_int_from_json(j, "sheaf") for j in _field(payload, "nonfree", list, "sheaf")],
-        _int_from_json(payload["dL"], "sheaf"),
+        [_int_from_json(j, "sheaf") for j in _field(payload, "nonfree", "sheaf", list, [])],
+        _int_from_json(_field(payload, "dL", "sheaf"), "sheaf"),
         gluing,
     )
 
 
 def load_family(text_or_path: str, sheaf: TFSheaf, truncation: int) -> SheafFamily:
-    payload = _load_json(text_or_path)
-    n = _int_from_json(payload.get("N", truncation), "family")
-    gluing_series = {}
-    for j, expr in _field(payload, "glueSeries", dict, "family").items():
-        gluing_series[_int_from_json(j, "family")] = parse_series(str(expr), ("t",), n)
+    payload = _load_json(text_or_path, "family")
+    n = _int_from_json(_field(payload, "N", "family", default=truncation), "family")
+    gluing_series = {
+        _int_from_json(j, "family"): parse_series(str(expr), ("t",), n)
+        for j, expr in _field(payload, "glueSeries", "family", dict, {}).items()
+    }
     for j, lam in sheaf.gluing:
         gluing_series.setdefault(j, PowerSeries.univariate({0: lam}, n))
     moving = []
-    for entry in _field(payload, "moving", list, "family"):
-        if not isinstance(entry, dict):
-            raise PreconditionError("family", f"moving point {entry!r} is not an object")
-        base = rational_from_json(entry["base"])
-        trajectory = parse_series(str(entry["trajectory"]), ("t",), n)
+    for entry in _field(payload, "moving", "family", list, []):
+        point = _shaped(entry, dict, "family", "each moving point")
+        base = rational_from_json(_field(point, "base", "family"))
+        trajectory = parse_series(str(_field(point, "trajectory", "family")), ("t",), n)
         moving.append(MovingPoint(base=base, trajectory=trajectory))
     return SheafFamily.make(sheaf, n, gluing_series, moving)
 
 
 def load_images(text_or_path: str, truncation: int) -> Dict[str, PowerSeries]:
-    payload = _load_json(text_or_path)
-    images = payload.get("images", payload)
+    payload = _load_json(text_or_path, "arc")
     return {
         name: parse_series(str(expr), ("t",), truncation)
-        for name, expr in images.items()
+        for name, expr in _field(payload, "images", "arc", dict, payload).items()
     }
 
 
@@ -228,7 +244,7 @@ def build_ringspec(args, truncation: int) -> RingSpec:
     relations = tuple(
         parse_series(text, variables, truncation) for text in (args.rel or [])
     )
-    divisor = parse_series(args.f, variables, truncation) if args.f else None
+    divisor = None if args.f is None else parse_series(args.f, variables, truncation)
     return RingSpec(variables, relations, divisor)
 
 
@@ -255,7 +271,7 @@ def _parse_binding(model: LocalModel, text: Optional[str]) -> Dict[str, str]:
 
 def _element(args, truncation: int) -> ModelElement:
     model = parse_model_flag(args.model)
-    binding = _parse_binding(model, getattr(args, "bind", None))
+    binding = _parse_binding(model, args.bind)
     reverse = {target: alias for alias, target in binding.items()}
     display_names = tuple(reverse.get(v, v) for v in model.variables)
     parsed = parse_series(args.f, display_names, truncation)
@@ -282,8 +298,6 @@ def cmd_mult(args) -> dict:
     element = _element(args, args.truncation)
     payload = _branchsum_payload(element)
     if args.with_hs:
-        from .multiplicity import model_ringspec
-
         table = hilbert_samuel(model_ringspec(element.model, element.series), args.tmax)
         payload["hs_table"] = {
             "values": table.values,
@@ -315,67 +329,53 @@ def cmd_hs(args) -> dict:
 
 def cmd_arc(args) -> dict:
     truncation = args.N
-    if not args.vars and not args.model:
-        raise PreconditionError("arc", "either --model or --vars is required")
-    if args.vars:
-        if args.minimal or args.through_z:
+    working = max(truncation, args.truncation)
+    if args.minimal or args.through_z:
+        if args.vars:
             raise PreconditionError(
                 "arc",
                 "minimal-arc search needs a standard model; arbitrary rings "
                 "take arcs only through explicit images",
             )
-        spec = build_ringspec(args, max(truncation, args.truncation))
-        if spec.divisor is None:
-            raise PreconditionError("arc", "--f is required to compute a contact")
-        if not args.images:
-            raise PreconditionError("arc", "--images is required")
-        images = load_images(args.images, truncation)
-        arc = make_general_arc(spec, images, truncation)
-        contact = general_arc_contact(arc, spec.divisor)
-        payload = {"N": truncation}
-    else:
-        element = _element(args, max(truncation, args.truncation))
-        if args.minimal or args.through_z:
-            finder = minimal_arc_through_Z if args.through_z else minimal_arc
-            found = finder(element, truncation, args.seed)
-            if isinstance(found, ZArcNotFound):
-                return {
-                    "found": False,
-                    "bestContact": order_to_json(found.best_contact),
-                    "seed": args.seed,
-                    "N": truncation,
-                }
+        element = _element(args, working)
+        finder = minimal_arc_through_Z if args.through_z else minimal_arc
+        found = finder(element, truncation, args.seed)
+        if isinstance(found, ZArcNotFound):
             return {
-                "found": True,
-                "contact": found.contact,
-                "branch": branch_label(found.branch),
-                "images": {
-                    name: str(series) for name, series in sorted(found.arc.images.items())
-                },
+                "found": False,
+                "bestContact": order_to_json(found.best_contact),
                 "seed": args.seed,
                 "N": truncation,
             }
-        if not args.images:
-            raise PreconditionError("arc", "--images is required")
-        images = load_images(args.images, truncation)
-        arc = make_arc(element.model, images, truncation)
-        contact = arc_contact(arc, element)
-        payload = {"N": truncation}
-    if isinstance(contact, ArcInsideDivisor):
-        payload.update({"contact": "ArcInsideDivisor", "atLeast": contact.at_least})
+        return {
+            "found": True,
+            "contact": found.contact,
+            "branch": branch_label(found.branch),
+            "images": {
+                name: str(series) for name, series in sorted(found.arc.images.items())
+            },
+            "seed": args.seed,
+            "N": truncation,
+        }
+    if not args.images:
+        raise PreconditionError("arc", "--images is required")
+    images = load_images(args.images, truncation)
+    if args.vars:
+        spec = build_ringspec(args, working)
+        contact = general_arc_contact(make_general_arc(spec, images, truncation), spec.divisor)
     else:
-        payload["contact"] = contact
-    return payload
+        element = _element(args, working)
+        contact = arc_contact(make_arc(element.model, images, truncation), element)
+    if isinstance(contact, ArcInsideDivisor):
+        return {"contact": "ArcInsideDivisor", "atLeast": contact.at_least, "N": truncation}
+    return {"contact": contact, "N": truncation}
 
 
 def cmd_arcs_sample(args) -> dict:
     truncation = args.N
-    if not args.vars and not args.model:
-        raise PreconditionError("arcs-sample", "either --model or --vars is required")
+    working = max(truncation, args.truncation)
     if args.vars:
-        spec = build_ringspec(args, max(truncation, args.truncation))
-        if spec.divisor is None:
-            raise PreconditionError("arcs-sample", "--f is required")
+        spec = build_ringspec(args, working)
         powers = {}
         if args.param:
             for piece in args.param.split(","):
@@ -390,7 +390,7 @@ def cmd_arcs_sample(args) -> dict:
             spec, spec.divisor, hook, args.count, truncation, args.seed
         )
     else:
-        element = _element(args, max(truncation, args.truncation))
+        element = _element(args, working)
         report = sample_arcs_check(element, args.count, truncation, args.seed)
     return {
         "ord": report.order,
@@ -461,7 +461,8 @@ def cmd_family(args) -> dict:
         built = "minimal"
     aux = None
     if args.aux:
-        aux = [rational_from_json(v) for v in json.loads(args.aux)]
+        aux = json.loads(args.aux)
+        aux = [rational_from_json(v) for v in _shaped(aux, list, "aux-divisor", "--aux")]
     try:
         result = family_cohomology(curve, family, seed=args.seed, aux_points=aux)
     except IndeterminateAtTruncation as exc:
@@ -508,12 +509,15 @@ def golden_suite(path: str) -> dict:
     if not root.is_dir():
         raise PreconditionError("golden", f"{path!r} is not a directory")
     cases = sorted(p for p in root.iterdir() if (p / "input.json").is_file())
+    if not cases:
+        raise PreconditionError("golden", f"{path!r} holds no case directory with input.json")
     results = []
     passed = 0
     for case in cases:
-        argv = json.loads((case / "input.json").read_text(encoding="utf-8"))["argv"]
-        expected_raw = json.loads((case / "expected.json").read_text(encoding="utf-8"))
-        expected = canonical_json(expected_raw)
+        argv = _field(_load_json(str(case / "input.json"), "golden"), "argv", "golden", list)
+        for arg in argv:
+            _shaped(arg, str, "golden", "each argv entry")
+        expected = canonical_json(_load_json(str(case / "expected.json"), "golden"))
         actual = canonical_json(dispatch(argv))
         if actual == expected:
             passed += 1
@@ -540,6 +544,14 @@ def cmd_golden(args) -> dict:
 # -- parser / dispatch ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed argv as the failed check `argv`, like any other
+    input error, instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise PreconditionError("argv", message)
+
+
 def _add_model_element_flags(parser):
     parser.add_argument("--model", required=True, help='model, e.g. "n=1,m=1"')
     parser.add_argument("--f", required=True, help="divisor equation over u_i, v_i, w_i")
@@ -549,101 +561,87 @@ def _add_model_element_flags(parser):
     parser.add_argument("--truncation", type=int, help="series truncation degree")
 
 
-def _add_ringspec_flags(parser):
-    parser.add_argument("--vars", help="comma-separated variable names")
+def _add_arc_flags(parser):
+    ring = parser.add_mutually_exclusive_group(required=True)
+    ring.add_argument("--model", help='standard model, e.g. "n=1,m=1"')
+    ring.add_argument("--vars", help="comma-separated variable names of a quotient ring")
     parser.add_argument("--rel", action="append", help="ideal relation (repeatable)")
+    parser.add_argument("--bind", help="aliases for the canonical coordinates")
+    parser.add_argument("--f", required=True, help="divisor equation")
+    parser.add_argument("--N", type=int)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--truncation", type=int)
+
+
+def _add_curve_flags(parser):
+    parser.add_argument("--curve", required=True)
+    parser.add_argument("--sheaf", required=True)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use; --N, --truncation and --tmax
     default to None and are filled in by `dispatch`."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nodaltheta",
         description="Exact local multiplicity invariants on nodal models and "
         "theta divisors of rational nodal curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mult", help="branch-sum multiplicity of a divisor")
-    _add_model_element_flags(p)
+    def command(name, handler, text, add_flags=None):
+        """The parser of one subcommand, with a flag group it shares."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        if add_flags:
+            add_flags(p)
+        return p
+
+    p = command(
+        "mult", cmd_mult, "branch-sum multiplicity of a divisor", _add_model_element_flags
+    )
     p.add_argument("--with-hs", action="store_true", help="cross-check with the oracle")
     p.add_argument("--tmax", type=int)
-    p.set_defaults(handler=cmd_mult)
 
-    p = sub.add_parser("ord", help="order of vanishing at the origin")
-    _add_model_element_flags(p)
-    p.set_defaults(handler=cmd_ord)
+    command("ord", cmd_ord, "order of vanishing at the origin", _add_model_element_flags)
 
-    p = sub.add_parser("hs", help="Hilbert-Samuel table of a quotient ring")
-    _add_ringspec_flags(p)
+    p = command("hs", cmd_hs, "Hilbert-Samuel table of a quotient ring")
+    p.add_argument("--vars", required=True, help="comma-separated variable names")
+    p.add_argument("--rel", action="append", help="ideal relation (repeatable)")
     p.add_argument("--f", help="optional divisor equation")
     p.add_argument("--tmax", type=int)
     p.add_argument("--truncation", type=int)
-    p.set_defaults(handler=cmd_hs)
 
-    p = sub.add_parser("arc", help="contact order of a divisor along an arc")
-    p.add_argument("--model", help='standard model, e.g. "n=1,m=1"')
-    p.add_argument("--bind", help='aliases for the canonical coordinates')
-    _add_ringspec_flags(p)
-    p.add_argument("--f", help="divisor equation")
+    p = command("arc", cmd_arc, "contact order of a divisor along an arc", _add_arc_flags)
     p.add_argument("--images", help='arc JSON, e.g. {"u1":"0","v1":"t"}')
     p.add_argument("--minimal", action="store_true", help="construct a minimal-contact arc")
     p.add_argument(
         "--through-z", action="store_true", help="restrict to the locally trivial locus"
     )
-    p.add_argument("--N", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--truncation", type=int)
-    p.set_defaults(handler=cmd_arc)
 
-    p = sub.add_parser("arcs-sample", help="random-arc lower bound check")
-    p.add_argument("--model", help='standard model, e.g. "n=1,m=1"')
-    p.add_argument("--bind", help='aliases for the canonical coordinates')
-    _add_ringspec_flags(p)
-    p.add_argument("--f", help="divisor equation")
+    p = command("arcs-sample", cmd_arcs_sample, "random-arc lower bound check", _add_arc_flags)
     p.add_argument("--param", help='parametrization hook, e.g. "x:s^2,y:s^3"')
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--N", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--truncation", type=int)
-    p.set_defaults(handler=cmd_arcs_sample)
 
-    p = sub.add_parser("curve-h0", help="cohomology of a sheaf on a nodal curve")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--sheaf", required=True)
-    p.set_defaults(handler=cmd_curve_h0)
+    command("curve-h0", cmd_curve_h0, "cohomology of a sheaf on a nodal curve", _add_curve_flags)
+    command("theta", cmd_theta, "theta multiplicity report at a sheaf", _add_curve_flags)
+    command("classify", cmd_classify, "theta singular-locus classification", _add_curve_flags)
 
-    p = sub.add_parser("theta", help="theta multiplicity report at a sheaf")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--sheaf", required=True)
-    p.set_defaults(handler=cmd_theta)
-
-    p = sub.add_parser("classify", help="theta singular-locus classification")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--sheaf", required=True)
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("family", help="contact of a one-parameter family with theta")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--sheaf", required=True)
+    p = command(
+        "family", cmd_family, "contact of a one-parameter family with theta", _add_curve_flags
+    )
     p.add_argument("--family", help="family JSON (default: build a minimal family)")
     p.add_argument("--aux", help="pin the auxiliary divisor, e.g. [2]")
     p.add_argument("--N", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_family)
 
-    p = sub.add_parser("verify-A", help="cross-checked multiplicity identity")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--sheaf", required=True)
+    p = command("verify-A", cmd_verify_A, "cross-checked multiplicity identity", _add_curve_flags)
     p.add_argument("--N", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--families", type=int, default=3)
-    p.set_defaults(handler=cmd_verify_A)
 
-    p = sub.add_parser("golden", help="run the golden (input, expected) pairs")
+    p = command("golden", cmd_golden, "run the golden (input, expected) pairs")
     p.add_argument("--dir", required=True)
-    p.set_defaults(handler=cmd_golden)
 
     return parser
 
@@ -658,40 +656,27 @@ def dispatch(argv) -> dict:
     return args.handler(args)
 
 
+# Diagnostic name (None: the check a PreconditionError names) and exit status
+# per exception type.  The first matching row wins; the last row catches the
+# rest, which can only be a bug.
+_EXITS = (
+    (PreconditionError, None, 2),
+    ((json.JSONDecodeError, UnicodeDecodeError, OSError), "input", 2),
+    (IndeterminateAtTruncation, "indeterminate", 2),
+    (VerificationError, "verification", 3),
+    (Exception, "internal", 3),
+)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         payload = dispatch(argv)
-    except PreconditionError as exc:
-        print(
-            canonical_json({"error": exc.name, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
-        print(
-            canonical_json({"error": "input", "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
-    except IndeterminateAtTruncation as exc:
-        print(
-            canonical_json({"error": "indeterminate", "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
-    except VerificationError as exc:
-        print(
-            canonical_json({"error": "verification", "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 3
     except Exception as exc:  # never let a traceback reach the user
-        print(
-            canonical_json({"error": "internal", "message": f"{type(exc).__name__}: {exc}"}),
-            file=sys.stderr,
-        )
-        return 3
+        name, status = next((n, s) for kind, n, s in _EXITS if isinstance(exc, kind))
+        message = f"{type(exc).__name__}: {exc}" if name == "internal" else str(exc)
+        print(canonical_json({"error": name or exc.name, "message": message}), file=sys.stderr)
+        return status
     print(canonical_json(payload))
     return 0
 

@@ -692,6 +692,10 @@ def verify_theorem_A(
     (families that vanish to truncation count as contact > N and pass).
     Any disagreement raises: it is either a bug or a counterexample.
     """
+    if random_families < 0:
+        raise PreconditionError(
+            "families", f"random family count must be >= 0, got {random_families}"
+        )
     _require_theta_degree(curve, sheaf)
     h0_value, h1_value = cohomology(curve, sheaf)
     if h0_value < 1:

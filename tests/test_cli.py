@@ -16,13 +16,27 @@ GOLDEN = REPO / "golden"
 
 CURVE_G1 = '{"nodes":[[0,1]]}'
 SHEAF_TRIVIAL = '{"nonfree":[],"dL":0,"glue":{"0":1}}'
-FAMILY = ["family", "--sheaf", SHEAF_TRIVIAL, "--family"]
+FAMILY = ["family", "--curve", CURVE_G1, "--sheaf", SHEAF_TRIVIAL, "--family"]
+# argv prefixes that end with a flag taking a JSON object
+JSON_FLAGS = {
+    "--curve": ["theta", "--sheaf", SHEAF_TRIVIAL, "--curve"],
+    "--sheaf": ["theta", "--curve", CURVE_G1, "--sheaf"],
+    "--family": FAMILY,
+    "--images": ["arc", "--model", "n=1,m=1", "--f=w1", "--images"],
+}
 
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def diagnostic(err):
+    """The check named by stderr, which must be exactly one JSON line."""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])["error"]
 
 
 class TestReports:
@@ -166,29 +180,79 @@ class TestExitCodes:
             (CURVE_G1, '{"nonfree":[],"dL":1.9,"glue":{"0":1}}', "sheaf"),
             ('{"nodes":5}', '{"nonfree":[],"dL":0,"glue":[]}', "curve"),
             ('{"nodes":[5]}', '{"nonfree":[],"dL":0,"glue":[]}', "curve"),
+            ("{}", SHEAF_TRIVIAL, "curve"),
+            (CURVE_G1, '{"nonfree":[],"glue":{"0":1}}', "sheaf"),
         ],
     )
     def test_bad_loader_input_is_exit_2(self, capsys, curve, sheaf, check):
         code, out, err = run(capsys, ["theta", "--curve", curve, "--sheaf", sheaf])
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"] == check
+        assert diagnostic(err) == check
 
     @pytest.mark.parametrize(
         "argv, check",
         [
-            (["theta", "--sheaf", '{"dL":0,"glue":[1]}'], "sheaf"),
-            (["theta", "--sheaf", '{"nonfree":5,"dL":0,"glue":{"0":1}}'], "sheaf"),
+            (JSON_FLAGS["--sheaf"] + ['{"dL":0,"glue":[1]}'], "sheaf"),
+            (JSON_FLAGS["--sheaf"] + ['{"nonfree":5,"dL":0,"glue":{"0":1}}'], "sheaf"),
             (FAMILY + ['{"glueSeries":{"x":"1+t"}}'], "family"),
             (FAMILY + ['{"glueSeries":[1]}'], "family"),
             (FAMILY + ['{"moving":5}'], "family"),
             (FAMILY + ['{"moving":[5]}'], "family"),
+            (FAMILY + ['{"moving":[{"trajectory":"7+t"}]}'], "family"),
+            (FAMILY + ['{"moving":[{"base":7}]}'], "family"),
+            (FAMILY[:5] + ["--aux", "5"], "aux-divisor"),
+            (FAMILY[:5] + ["--aux", '{"2":0}'], "aux-divisor"),
+            (JSON_FLAGS["--images"] + ['{"images":[1]}'], "arc"),
         ],
     )
     def test_malformed_json_shape_is_exit_2(self, capsys, argv, check):
-        code, out, err = run(capsys, argv + ["--curve", CURVE_G1])
+        code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
-        assert json.loads(err)["error"] == check
+        assert diagnostic(err) == check
+
+    @pytest.mark.parametrize("flag, check", [
+        ("--curve", "curve"), ("--sheaf", "sheaf"), ("--family", "family"), ("--images", "arc"),
+    ])
+    @pytest.mark.parametrize("content", [b"[1]", b'"x"', b"\xff{}", None])
+    def test_json_file_that_is_no_object_is_exit_2(self, capsys, tmp_path, flag, check, content):
+        # an array or a string fails the flag's check; a directory or text
+        # that is not UTF-8 cannot be read at all
+        path = tmp_path / "argument.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code, out, err = run(capsys, JSON_FLAGS[flag] + [str(path)])
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == (check if content in (b"[1]", b'"x"') else "input")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ord", "--model", "n=1,m=1", "--f", "w1", "--unknown"],
+            ["arc", "--model", "n=1,m=1", "--f=w1", "--minimal", "--N", "q"],
+            [],
+            ["no-such-command"],
+            ["arc", "--model", "n=1,m=1", "--vars", "x", "--f=x", "--images", '{"x":"t"}'],
+            ["arc", "--model", "n=1,m=1", "--minimal"],
+            ["arcs-sample", "--model", "n=1,m=1"],
+            ["hs", "--rel", "x"],
+        ],
+    )
+    def test_bad_argv_is_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == "argv"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["arc", "--help"]])
+    def test_help_is_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: nodaltheta")
+        assert captured.err == ""
 
     def test_verify_truncation_below_h0_is_exit_2(self, capsys):
         argv = ["verify-A", "--curve", '{"nodes":[[0,1],[2,3]]}',
@@ -209,6 +273,14 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"] == "count"
 
+    def test_negative_family_count_is_exit_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["verify-A", "--curve", CURVE_G1, "--sheaf", SHEAF_TRIVIAL, "--families", "-1"],
+        )
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == "families"
+
     def test_through_z_truncation_below_order_is_exit_2(self, capsys):
         argv = ["arc", "--model", "n=1,m=1", "--f=w1^3", "--N", "2"]
         code, out, minimal_err = run(capsys, argv + ["--minimal"])
@@ -227,7 +299,7 @@ class TestExitCodes:
         report = json.loads(out)
         assert (report["requested"], report["used"], report["minContact"]) == (0, 0, None)
 
-    @pytest.mark.parametrize("model", ["n=x", '{"n":"x","m":0}'])
+    @pytest.mark.parametrize("model", ["n=x", '{"n":"x","m":0}', '{"n":1}'])
     def test_bad_model_integer_is_exit_2(self, capsys, model):
         code, out, err = run(capsys, ["ord", "--model", model, "--f", "w1"])
         assert code == 2
@@ -261,6 +333,20 @@ class TestExitCodes:
         code, _, err = run(capsys, ["golden", "--dir", str(tmp_path)])
         assert code == 3
         assert json.loads(err)["error"] == "verification"
+
+    @pytest.mark.parametrize(
+        "content", ['{"argv":5}', "[1]", '{"argv":[5]}', '{"args":[]}', None]
+    )
+    def test_malformed_golden_case_is_exit_2(self, capsys, tmp_path, content):
+        # None: a directory with no case, which must not pass vacuously
+        if content is not None:
+            case = tmp_path / "case"
+            case.mkdir()
+            (case / "input.json").write_text(content, encoding="utf-8")
+            (case / "expected.json").write_text('{"ord":0}', encoding="utf-8")
+        code, out, err = run(capsys, ["golden", "--dir", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == "golden"
 
 
     @pytest.mark.parametrize("name", ["NODALTHETA_N", "NODALTHETA_TMAX"])

@@ -1,0 +1,99 @@
+"""Seeded fuzz of the CLI exit contract over the JSON arguments of valid argvs.
+
+Each run takes one valid argv and edits one JSON value at any depth, or
+deletes one key, using replacements from a fixed set.  Shapes and types
+change, never magnitudes, so no run can ask for large resources.  Every run
+must exit 0 or 2; on exit 2 stdout is empty and stderr is exactly one JSON
+line.  `golden` is left out: a golden mismatch exits 3 by design.
+"""
+
+import json
+import random
+
+from nodaltheta.cli import main
+
+TWO_NODES = '{"nodes":[[0,1],[2,3]]}'
+
+VALID = [
+    ["theta", "--curve", TWO_NODES, "--sheaf", '{"dL":1,"glue":{"0":1,"1":1}}'],
+    [
+        "family", "--curve", '{"nodes":[[0,1]]}',
+        "--sheaf", '{"nonfree":[],"dL":0,"glue":{"0":1}}',
+        "--family", '{"N":8,"glueSeries":{"0":"1+t"},"moving":[{"base":7,"trajectory":"7+2*t"}]}',
+        "--aux", "[2]",
+    ],
+    [
+        "arc", "--model", "n=1,m=1", "--f", "v1-u1^2",
+        "--images", '{"images":{"u1":"0","v1":"t","w1":"0"}}',
+    ],
+    ["mult", "--model", '{"n":1,"m":1}', "--f", "v1-u1^2"],
+    [
+        "verify-A", "--curve", TWO_NODES,
+        "--sheaf", '{"nonfree":[0],"dL":0,"glue":{"1":1}}', "--families", "1",
+    ],
+    [
+        "classify", "--curve", '{"nodes":[["1/2","3/2"],[2,5]]}',
+        "--sheaf", '{"nonfree":[0],"dL":0,"glue":{"1":"2/3"}}',
+    ],
+]
+
+REPLACEMENTS = [None, True, 0, -1, "x", [], {}, [[]]]
+DELETE = object()
+RUNS = 500
+
+
+def edits(value, path=()):
+    """Every (path, replacement) edit of one JSON value; DELETE drops a key."""
+    for replacement in REPLACEMENTS:
+        yield path, replacement
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield path + (key,), DELETE
+            yield from edits(child, path + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from edits(child, path + (index,))
+
+
+def apply(value, path, replacement):
+    if not path:
+        return replacement
+    value = json.loads(json.dumps(value))
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return value
+
+
+def mutants():
+    for argv in VALID:
+        for position, arg in enumerate(argv):
+            if arg.startswith(("{", "[")):
+                value = json.loads(arg)
+                for path, replacement in edits(value):
+                    text = json.dumps(apply(value, path, replacement))
+                    yield argv[:position] + [text] + argv[position + 1:]
+
+
+def test_valid_argvs_exit_0(capsys):
+    for argv in VALID:
+        assert main(argv) == 0, capsys.readouterr().err
+        assert capsys.readouterr().err == ""
+
+
+def test_edited_json_exits_0_or_2(capsys):
+    cases = list(mutants())
+    assert len(cases) > RUNS
+    for argv in random.Random(0).sample(cases, RUNS):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2), (argv, captured.err)
+        if code == 2:
+            assert captured.out == "", argv
+            lines = captured.err.splitlines()
+            assert len(lines) == 1, (argv, captured.err)
+            assert isinstance(json.loads(lines[0])["error"], str)

@@ -709,6 +709,14 @@ class TestVerifyTheoremA:
         assert info.value.name == "truncation"
         assert verify_theorem_A(curve, sheaf, 3, seed=0).family_order == 3
 
+    def test_negative_random_family_count_rejected(self):
+        curve, sheaf = symmetric_point(4, 0)
+        with pytest.raises(PreconditionError) as info:
+            verify_theorem_A(curve, sheaf, 16, seed=0, random_families=-1)
+        assert info.value.name == "families"
+        report = verify_theorem_A(curve, sheaf, 16, seed=0, random_families=0)
+        assert report.random_family_orders == ()
+
 
 class TestFamilyValidation:
     def test_gluing_series_must_start_at_base(self):
