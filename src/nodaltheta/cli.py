@@ -155,11 +155,18 @@ def _field(payload: dict, key: str, check: str, kind: type = object, default=Non
 
 def _load_json(text_or_path: str, check: str) -> dict:
     """A JSON object given inline or as a file path.  A malformed shape fails
-    `check`; unreadable or unparsable text is an `input` error."""
+    `check`; a path holding a NUL byte, unreadable or unparsable text, and
+    JSON nested past the recursion limit are `input` errors."""
     text = text_or_path.strip()
     if not text.startswith("{"):
+        if "\0" in text_or_path:
+            raise PreconditionError("input", "a path cannot hold a NUL byte")
         text = Path(text_or_path).read_text(encoding="utf-8")
-    return _shaped(json.loads(text), dict, check, "the argument")
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise PreconditionError("input", "JSON nested too deeply") from None
+    return _shaped(payload, dict, check, "the argument")
 
 
 # -- input object builders ---------------------------------------------------
@@ -518,7 +525,10 @@ def golden_suite(path: str) -> dict:
         for arg in argv:
             _shaped(arg, str, "golden", "each argv entry")
         expected = canonical_json(_load_json(str(case / "expected.json"), "golden"))
-        actual = canonical_json(dispatch(argv))
+        args = _parse(argv)
+        if args.command == "golden":
+            raise PreconditionError("golden", f"case {case.name!r} runs the golden suite")
+        actual = canonical_json(args.handler(args))
         if actual == expected:
             passed += 1
             results.append({"case": case.name, "ok": True})
@@ -646,13 +656,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv) -> dict:
+def _parse(argv) -> argparse.Namespace:
+    """Parsed argv, with --N, --truncation and --tmax filled from the environment."""
     n = _env_int("NODALTHETA_N", DEFAULT_TRUNCATION)
     defaults = {"N": n, "truncation": n, "tmax": _env_int("NODALTHETA_TMAX", DEFAULT_TMAX)}
     args = build_parser().parse_args(argv)
     for name, value in defaults.items():
         if getattr(args, name, value) is None:
             setattr(args, name, value)
+    return args
+
+
+def dispatch(argv) -> dict:
+    args = _parse(argv)
     return args.handler(args)
 
 

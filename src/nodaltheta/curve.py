@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import IndeterminateAtTruncation, PreconditionError, VerificationError
 from .linalg import rank_dense
-from .series import DEFAULT_TRUNCATION, PowerSeries, mul_lists
+from .series import DEFAULT_TRUNCATION, PowerSeries, clear_denominators, exact, mul_lists
 from .smith import constant_matrix, diagonalize, kernel_basis
 
 DROP_RESAMPLES = 5  # random points tried per twist in `general_drop_check`
@@ -475,25 +475,31 @@ def _gluing_rows(
 
     Row j is s(p_j) - c_j lambda_j(t) prod(p_j - m(t)) / prod(q_j - m(t)) s(q_j)
     over the moving points m, with c_j the constant cross-ratio factor; it
-    is multiplied through by the unit prod(q_j - m(t)), which changes
-    neither the cokernel nor its exponents.
+    is multiplied through by the unit prod(q_j - m(t)) and by the nonzero
+    constant that clears its denominators, so its coefficients are ints.
+    Neither scaling changes the cokernel or its exponents.
     """
     n = truncation
     moving = [(m.base, [-c for c in m.trajectory.dense()[1: n + 1]]) for m in family.moving]
     rows = []
     for j, lam_series in family.gluing_series:
-        p, q = curve.nodes[j]
+        p, q = (exact(x) for x in curve.nodes[j])
         scalar = Fraction(1)
         for e in aux:
-            scalar *= (p - e) / (q - e)
+            scalar = scalar * (p - e) / (q - e)
         left = [1] + [0] * n
         right = lam_series.dense()[: n + 1]
         for base, tail in moving:  # tail: -m(t) above its constant term
-            scalar *= (q - base) / (p - base)
-            left = mul_lists(left, [q - base] + tail, n)
-            right = mul_lists(right, [p - base] + tail, n)
-        right = [scalar * c for c in right]
-        rows.append([[p**i * a - q**i * b for a, b in zip(left, right)] for i in range(ncols)])
+            scalar = scalar * (q - base) / (p - base)
+            left = mul_lists(left, [exact(q - base)] + tail, n)
+            right = mul_lists(right, [exact(p - base)] + tail, n)
+        left = [scalar.denominator * a for a in left]
+        right = [scalar.numerator * b for b in right]
+        row, p_i, q_i = [], 1, 1
+        for _ in range(ncols):
+            row.append([p_i * a - q_i * b for a, b in zip(left, right)])
+            p_i, q_i = p_i * p, q_i * q
+        rows.append(clear_denominators(row)[0])
     return [[PowerSeries.univariate(dict(enumerate(e)), n) for e in row] for row in rows]
 
 

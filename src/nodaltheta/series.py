@@ -19,8 +19,9 @@ The univariate ring Q[t]/(t^(N+1)) also has a dense form, the one every
 loop over it runs on: a list of N+1 coefficients indexed by degree, ints
 where integral and Fractions otherwise.  A shorter list is a lower
 truncation, dividing by t^nu is a slice, `mul_lists` multiplies, `sub_mul`
-computes a - q*b in one product, `invert_list` inverts a unit and
-`pull_back` substitutes arcs.  Arc sampling, `substitute`, the Smith
+computes a - q*b in one product, `invert_list` inverts a unit,
+`clear_denominators` scales a row of them to ints and `pull_back`
+substitutes arcs.  Arc sampling, `substitute`, the Smith
 reduction, the determinant, `kernel_basis` and the curve's gluing rows all
 use it; `PowerSeries.dense` converts at the API boundary.
 """
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .errors import PreconditionError
@@ -387,6 +389,16 @@ class PowerSeries:
 def exact(value: Rational) -> Rational:
     """An integral rational as an int, so dense loops stay on plain ints."""
     return int(value) if value.denominator == 1 else value
+
+
+def clear_denominators(row: list) -> tuple:
+    """A row of dense entries times the lcm of their denominators, all ints,
+    and that lcm.  The lcm is folded one entry at a time, so no argument
+    tuple spans the whole row."""
+    scale = 1
+    for entry in row:
+        scale = lcm(scale, *(c.denominator for c in entry))
+    return [[c.numerator * (scale // c.denominator) for c in entry] for entry in row], scale
 
 
 def mul_lists(a: list, b: list, n: int) -> list:

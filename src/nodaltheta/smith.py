@@ -1,25 +1,29 @@
 """Linear algebra over the truncated valuation ring Q[t]/(t^(N+1)).
 
 Matrices are lists of lists of univariate series.  Each function converts
-their entries once on entry (`PowerSeries.dense`) and runs on the dense
-list core of `series`, with no `PowerSeries` inside its loops; results go
-back out as series.  Pivots for elimination must be units (nonzero
-constant term); Smith reduction instead pivots on an entry of minimal
-t-order, which divides every remaining entry, and shrinks the block to its
-Schur complement, where only the rows a pivot updates lose precision.  The
-sum of the elementary divisor exponents equals the t-order of the
-determinant whenever the determinant does not vanish to truncation;
-`diagonalize` checks one against the other, with the determinant computed
-by Berkowitz's division-free algorithm.
+their entries once on entry and runs on the dense list core of `series`,
+with no `PowerSeries` inside its loops; results go back out as series.
+Smith reduction and the determinant scale each row to integers first
+(`_integer_rows`), so their loops make no `Fraction`.  Smith reduction
+pivots on an entry of minimal t-order, which divides every remaining
+entry, eliminates fraction-free as Bareiss does (no pivot is inverted),
+and shrinks the block to its Schur complement, where only the rows a pivot
+updates lose precision.  The sum of the elementary divisor exponents
+equals the t-order of the determinant whenever the determinant does not
+vanish to truncation; `diagonalize` checks one against the other, with the
+determinant computed by Berkowitz's division-free algorithm.
+`kernel_basis` pivots on units and inverts them.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, prod
 from typing import List, Tuple
 
 from .errors import IndeterminateAtTruncation, PreconditionError, VerificationError
 from .linalg import rank_dense
-from .series import PowerSeries, invert_list, mul_lists, sub_mul
+from .series import PowerSeries, clear_denominators, invert_list, mul_lists, sub_mul
 
 Matrix = List[List[PowerSeries]]
 
@@ -28,8 +32,19 @@ def constant_matrix(matrix: Matrix) -> List[List]:
     return [[entry.constant_term() for entry in row] for row in matrix]
 
 
-def _dense(matrix: Matrix) -> List[List[list]]:
-    return [[entry.dense() for entry in row] for row in matrix]
+def _integer_rows(matrix: Matrix) -> Tuple[List[List[list]], List[int]]:
+    """Each row's dense entries scaled to ints (`clear_denominators`), and
+    the scales."""
+    pairs = [clear_denominators([entry.dense() for entry in row]) for row in matrix]
+    return [row for row, _ in pairs], [scale for _, scale in pairs]
+
+
+def _without_content(row: List[list]) -> List[list]:
+    """A row of dense int entries divided by the gcd of all its coefficients."""
+    g = 0
+    for entry in row:
+        g = gcd(g, *entry)
+    return [[c // g for c in entry] for entry in row] if g > 1 else row
 
 
 def _series(coefficients: list, var: str = "t") -> PowerSeries:
@@ -62,14 +77,15 @@ def matrix_det(matrix: Matrix) -> PowerSeries:
     coefficients of B's polynomial to the block's.  That is O(n^4) ring
     operations with no division and no pivoting, so it holds over
     Q[t]/(t^(N+1)), zero divisors included, independently of Smith reduction.
-    The result is known to the lowest truncation among the entries.
+    It runs on the integer rows and divides once by the product of their
+    scales.  The result is known to the lowest truncation among the entries.
     """
     n = len(matrix)
     if n == 0:
         raise PreconditionError("matrix", "empty matrix has no determinant here")
     if any(len(row) != n for row in matrix):
         raise PreconditionError("matrix", "determinant needs a square matrix")
-    work = _dense(matrix)
+    work, scales = _integer_rows(matrix)
     w = min(len(entry) for row in work for entry in row) - 1
     work = [[entry[: w + 1] for entry in row] for row in work]
     one = [1] + [0] * w
@@ -84,8 +100,8 @@ def matrix_det(matrix: Matrix) -> PowerSeries:
                 vector = [_dot(r, vector, w) for r in block]
             toeplitz.append([-c for c in _dot(row, vector, w)])
         poly = [_dot(toeplitz[i::-1], poly[: i + 1], w) for i in range(len(poly) + 1)]
-    det = poly[n] if n % 2 == 0 else [-c for c in poly[n]]
-    return _series(det, matrix[0][0].variables[0])
+    scale = prod(scales) * (-1) ** n
+    return _series([Fraction(c, scale) for c in poly[n]], matrix[0][0].variables[0])
 
 
 def kernel_basis(matrix: Matrix, ncols: int, truncation: int) -> List[List[PowerSeries]]:
@@ -102,7 +118,7 @@ def kernel_basis(matrix: Matrix, ncols: int, truncation: int) -> List[List[Power
         if len(row) != ncols:
             raise PreconditionError("matrix", "ragged matrix")
 
-    work = _dense(matrix)
+    work = [[entry.dense() for entry in row] for row in matrix]
     pivot_cols: List[int] = []
     for i in range(nrows):
         pivot_col = None
@@ -144,14 +160,18 @@ def kernel_basis(matrix: Matrix, ncols: int, truncation: int) -> List[List[Power
 def smith_exponents(matrix: Matrix) -> List[int]:
     """Elementary divisor exponents, the t-orders of the successive pivots.
 
-    Each step takes an entry of least t-order nu, clears its column with row
-    updates, records nu and drops the pivot's row and column: the block
-    shrinks to its Schur complement.  An updated row is known nu truncation
-    levels less; a row whose pivot-column entry is zero to its truncation L
-    skips an O(t^(L+1)) update and keeps L.  A block that vanishes to
-    truncation leaves the remaining exponents undetermined.
+    Each step takes an entry t^nu u of least t-order (u a unit), clears its
+    column without inverting u: a row r whose pivot-column entry is a
+    becomes u r - (a / t^nu) r_pivot, divided by its integer content.  That
+    is the inverse-based update r - (a / t^nu) u^-1 r_pivot times a unit, so
+    every t-order, and with it every pivot choice, is the same.  The step
+    records nu and drops the pivot's row and column: the block shrinks to
+    its Schur complement.  An updated row is known nu truncation levels
+    less; a row whose pivot-column entry is zero to its truncation L skips
+    an O(t^(L+1)) update and keeps L.  A block that vanishes to truncation
+    leaves the remaining exponents undetermined.
     """
-    work = _dense(matrix)
+    work, _ = _integer_rows(matrix)
     exponents: List[int] = []
     while work and work[0]:
         best = None
@@ -164,12 +184,14 @@ def smith_exponents(matrix: Matrix) -> List[int]:
             raise IndeterminateAtTruncation(min(len(e) for row in work for e in row) - 1)
         nu, bi, bj = best
         pivot_row = work.pop(bi)
-        pivot_inverse = invert_list(pivot_row.pop(bj)[nu:])
+        unit = pivot_row.pop(bj)[nu:]
         for i, row in enumerate(work):
             entry = row.pop(bj)
             if any(entry):
-                quotient = _mul(entry[nu:], pivot_inverse)
-                work[i] = [sub_mul(a, quotient, b) for a, b in zip(row, pivot_row)]
+                quotient = entry[nu:]
+                work[i] = _without_content(
+                    [sub_mul(_mul(unit, a), quotient, b) for a, b in zip(row, pivot_row)]
+                )
         exponents.append(nu)
     return exponents
 

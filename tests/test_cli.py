@@ -348,6 +348,37 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert diagnostic(err) == "golden"
 
+    @pytest.mark.parametrize(
+        "argv, check",
+        [
+            (["golden", "--dir", "{suite}"], "golden"),
+            (["theta", "--curve", "no\0such.json", "--sheaf", SHEAF_TRIVIAL], "input"),
+        ],
+    )
+    def test_golden_case_that_cannot_run_is_exit_2(self, capsys, tmp_path, argv, check):
+        # a case running the suite itself would recurse without bound
+        case = tmp_path / "case"
+        case.mkdir()
+        argv = [arg.replace("{suite}", str(tmp_path)) for arg in argv]
+        (case / "input.json").write_text(json.dumps({"argv": argv}), encoding="utf-8")
+        (case / "expected.json").write_text("{}", encoding="utf-8")
+        code, out, err = run(capsys, ["golden", "--dir", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == check
+
+    @pytest.mark.parametrize("flag", sorted(JSON_FLAGS))
+    def test_json_nested_past_the_recursion_limit_is_exit_2(self, capsys, flag):
+        deep = '{"nodes":' + "[" * 50000 + "]" * 50000 + "}"
+        code, out, err = run(capsys, JSON_FLAGS[flag] + [deep])
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == "input"
+
+    @pytest.mark.parametrize("flag", sorted(JSON_FLAGS))
+    def test_path_with_a_nul_byte_is_exit_2(self, capsys, flag):
+        code, out, err = run(capsys, JSON_FLAGS[flag] + ["no\0such.json"])
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == "input"
+
 
     @pytest.mark.parametrize("name", ["NODALTHETA_N", "NODALTHETA_TMAX"])
     def test_bad_environment_is_exit_2(self, capsys, monkeypatch, name):

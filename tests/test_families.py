@@ -9,6 +9,7 @@ from nodaltheta.curve import (
     RationalNodalCurve,
     SheafFamily,
     TFSheaf,
+    _gluing_rows,
     cohomology,
     constant_family,
     family_cohomology,
@@ -20,8 +21,14 @@ from nodaltheta.curve import (
 )
 from nodaltheta.errors import IndeterminateAtTruncation, PreconditionError, VerificationError
 from nodaltheta.parsing import parse_series
-from nodaltheta.series import PowerSeries
-from nodaltheta.smith import diagonalize, kernel_basis, matrix_det, smith_exponents
+from nodaltheta.series import PowerSeries, invert_list, mul_lists, sub_mul
+from nodaltheta.smith import (
+    _integer_rows,
+    diagonalize,
+    kernel_basis,
+    matrix_det,
+    smith_exponents,
+)
 
 
 def curve_of(*pairs):
@@ -198,6 +205,135 @@ class TestSmithUnimodularInvariance:
                 assert smith_exponents(matrix) == exponents
                 if nrows == ncols:
                     assert matrix_det(matrix).order() == sum(exponents)
+
+
+def unit_inverse_smith(matrix):
+    """Smith exponents by elimination over Q with inverted pivots, as computed
+    before the fraction-free update, kept as an oracle: a pivot t^nu u
+    clears its column by r <- r - (a / t^nu) u^-1 r_pivot.  Returns the
+    exponents, or the truncation at which they became undetermined."""
+    work = [[entry.dense() for entry in row] for row in matrix]
+    exponents = []
+    while work and work[0]:
+        orders = [
+            (next(d for d, c in enumerate(entry) if c), i, j)
+            for i, row in enumerate(work)
+            for j, entry in enumerate(row)
+            if any(entry)
+        ]
+        if not orders:
+            return ("indeterminate", min(len(e) for row in work for e in row) - 1)
+        nu, bi, bj = min(orders)
+        pivot_row = work.pop(bi)
+        inverse = invert_list(pivot_row.pop(bj)[nu:])
+        for i, row in enumerate(work):
+            entry = row.pop(bj)
+            if any(entry):
+                quotient = mul_lists(entry[nu:], inverse, min(len(entry) - nu, len(inverse)) - 1)
+                work[i] = [sub_mul(a, quotient, b) for a, b in zip(row, pivot_row)]
+        exponents.append(nu)
+    return exponents
+
+
+def smith_or_bound(matrix):
+    try:
+        return smith_exponents(matrix)
+    except IndeterminateAtTruncation as exc:
+        return ("indeterminate", exc.truncation)
+
+
+class TestFractionFreeSmith:
+    """The fraction-free elimination multiplies each updated row by a unit
+    and clears denominators by constant row scalings; neither may move an
+    exponent, a truncation or a pivot choice."""
+
+    @staticmethod
+    def _entry(rng):
+        """Zero or a series of order 0-3, own truncation, denominators <= 3."""
+        truncation = rng.choice([2, 4, 6, 9])
+        if rng.random() < 0.2:
+            return PowerSeries.zero(("t",), truncation)
+        low = rng.choice([0, 1, 1, 2, 3])
+        return PowerSeries.univariate(
+            {
+                d: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for d in range(low, truncation + 1)
+            },
+            truncation,
+        )
+
+    def _matrix(self, rng, nrows, ncols):
+        """Random entries; every other matrix also gets a rank-one constant
+        part, so that pivots of positive order are common."""
+        matrix = [[self._entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.5:
+            u = [rng.randint(-2, 2) for _ in range(nrows)]
+            v = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+            matrix = [
+                [
+                    entry + PowerSeries.constant(("t",), ui * vj - entry.constant_term(), 9)
+                    for entry, vj in zip(row, v)
+                ]
+                for row, ui in zip(matrix, u)
+            ]
+        return matrix
+
+    SHAPES = [(1, 1), (2, 2), (3, 3), (4, 4), (2, 3), (3, 2), (1, 3), (4, 2)]
+
+    def test_matches_unit_inverse_elimination(self):
+        rng = random.Random(71)
+        outcomes = set()
+        for trial in range(240):
+            matrix = self._matrix(rng, *self.SHAPES[trial % len(self.SHAPES)])
+            expected = unit_inverse_smith(matrix)
+            assert smith_or_bound(matrix) == expected
+            outcomes.add("indeterminate" if expected[0] == "indeterminate" else sum(expected) > 0)
+        assert outcomes == {"indeterminate", True, False}
+
+    def test_row_scaling_moves_no_exponent(self):
+        rng = random.Random(72)
+        for trial in range(120):
+            matrix = self._matrix(rng, *self.SHAPES[trial % len(self.SHAPES)])
+            scales = [
+                Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.randint(1, 6)) for _ in matrix
+            ]
+            scaled = [[entry.scale(s) for entry in row] for row, s in zip(matrix, scales)]
+            assert smith_or_bound(scaled) == smith_or_bound(matrix)
+            if len(matrix) == len(matrix[0]):
+                product = Fraction(1)
+                for s in scales:
+                    product *= s
+                assert matrix_det(scaled) == matrix_det(matrix).scale(product)
+
+    def test_loops_run_on_ints(self):
+        rng = random.Random(73)
+        for trial in range(40):
+            matrix = self._matrix(rng, *self.SHAPES[trial % len(self.SHAPES)])
+            rows, scales = _integer_rows(matrix)
+            for row, series_row, scale in zip(rows, matrix, scales):
+                assert all(type(c) is int for entry in row for c in entry)
+                assert [[Fraction(c, scale) for c in entry] for entry in row] == [
+                    entry.dense() for entry in series_row
+                ]
+
+    def test_gluing_rows_are_integral(self):
+        # rational nodes, a rational gluing series and a moving point
+        curve = curve_of((Fraction(1, 2), Fraction(7, 3)), (-2, Fraction(5, 4)), (3, 4))
+        sheaf = sheaf_of([], 1, {0: Fraction(2, 3), 1: -1, 2: Fraction(5, 7)})
+        gluing = {
+            0: PowerSeries.univariate({0: Fraction(2, 3), 2: Fraction(1, 5)}, 6),
+            1: PowerSeries.constant(("t",), -1, 6),
+            2: PowerSeries.constant(("t",), Fraction(5, 7), 6),
+        }
+        point = Fraction(-7, 2)
+        moving = [MovingPoint(point, PowerSeries.univariate({0: point, 1: Fraction(1, 3)}, 6))]
+        family = SheafFamily.make(sheaf, 6, gluing, moving)
+        for aux in ([], [Fraction(11, 5), Fraction(-1, 6), 9]):
+            rows = _gluing_rows(curve, family, aux, 2 + len(aux), 6)
+            assert all(
+                c.denominator == 1 for row in rows for entry in row
+                for c in entry.coefficients.values()
+            )
 
 
 def subset_expansion_det(matrix):
