@@ -2,7 +2,7 @@
 
 The library computes, in exact rational arithmetic: orders of vanishing and
 leading forms of truncated power series; branch-sum multiplicities of
-divisors on standard nodal local rings, cross-checked by a brute-force
+divisors on standard nodal local rings, cross-checked by an independent
 Hilbert-Samuel oracle; contact orders of test arcs; and cohomology, theta
 multiplicity, and one-parameter family invariants of rank-1 torsion-free
 sheaves on integral rational nodal curves, verifying the multiplicity

@@ -22,7 +22,9 @@ counterexample and is deliberately loud.  No traceback reaches the user.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -525,7 +527,11 @@ def golden_suite(path: str) -> dict:
         for arg in argv:
             _shaped(arg, str, "golden", "each argv entry")
         expected = canonical_json(_load_json(str(case / "expected.json"), "golden"))
-        args = _parse(argv)
+        try:  # a help action prints usage and exits, which would end the suite
+            with contextlib.redirect_stdout(io.StringIO()):
+                args = _parse(argv)
+        except SystemExit:
+            raise PreconditionError("golden", f"case {case.name!r} asks for help") from None
         if args.command == "golden":
             raise PreconditionError("golden", f"case {case.name!r} runs the golden suite")
         actual = canonical_json(args.handler(args))

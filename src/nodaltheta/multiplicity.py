@@ -4,12 +4,13 @@ Two independent routes are provided and cross-checked in the tests:
 
 * the branch-sum on standard nodal models, where the multiplicity of a
   divisor is the sum of the orders of its 2^n branch projections, and
-* a brute-force Hilbert-Samuel oracle for arbitrary power-series quotients,
-  which reads the dimension and the normalized leading coefficient off the
-  finite differences of H(t) = dim_k O / (ideal + m^(t+1)).  The whole
-  table up to t_max comes from one integer elimination over columns in
-  degree order, and a difference row counts as stabilized only on degrees
-  at or above the largest generator order.
+* a Hilbert-Samuel oracle for arbitrary power-series quotients, which
+  reads the dimension and the normalized leading coefficient off the finite
+  differences of H(t) = dim_k O / (ideal + m^(t+1)).  The whole table up to
+  t_max comes from one integer elimination whose columns are the standard
+  monomials (those no single-term generator divides) in degree order, and
+  a difference row counts as stabilized only on degrees at or above the
+  largest generator order.
 
 The closed form for the standard model itself is 2^n.
 """
@@ -18,8 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
-from operator import mul
+from operator import ge, mul
 from typing import List, Optional, Tuple
 
 from .errors import PreconditionError
@@ -115,26 +115,10 @@ class HilbertSamuelTable:
     t_max: int = field(default=0)
 
 
-def _monomials_up_to(nvars: int, degree: int) -> List[Tuple[int, ...]]:
-    if nvars == 0:
-        return [()]
-    out = []
-    for d in range(degree + 1):
-        for combo in combinations_with_replacement(range(nvars), d):
-            exponent = [0] * nvars
-            for i in combo:
-                exponent[i] += 1
-            out.append(tuple(exponent))
-    return out
-
-
-def _count_monomials(nvars: int, degree: int) -> int:
-    total = 1
-    count = 1
-    for d in range(1, degree + 1):
-        count = count * (d + nvars - 1) // d
-        total += count
-    return total
+# Most columns (standard monomials) `hilbert_samuel` enumerates before it
+# rejects t_max: over 5x the largest table (5,551 columns) that a test, a
+# golden case or a benchmark input builds.
+MAX_COLUMNS = 30_000
 
 
 def _stable_tail(row: List[int]) -> Optional[int]:
@@ -152,19 +136,24 @@ def _stable_tail(row: List[int]) -> Optional[int]:
 
 
 def hilbert_samuel(spec: RingSpec, t_max: int = 10) -> HilbertSamuelTable:
-    """Brute-force Hilbert-Samuel function of the quotient ring.
+    """Hilbert-Samuel function of the quotient ring, from one elimination.
 
-    H(t) = dim_Q O / (ideal + m^(t+1)) for every t <= t_max, from one
-    elimination.  The rows are all products (monomial) * (ideal generator)
-    truncated at degree t_max, over columns numbered in degree order.  An
+    H(t) = dim_Q O / (ideal + m^(t+1)) for every t <= t_max.  A generator
+    with one term is a monomial generator.  The columns are the standard
+    monomials of degree <= t_max, those no monomial generator divides, in
+    degree order; the rows are the products (standard monomial) * (other
+    generator) restricted to them.  That is the elimination of all products
+    (monomial) * (generator) truncated at t_max, which holds each other
+    monomial as a row of its own, with those columns projected away.  An
     echelon row whose pivot has degree > t vanishes in every degree <= t, so
-    H(t) is the number of monomials of degree <= t minus the number of pivots
-    of degree <= t.  The dimension is the smallest d whose d-th finite
-    differences end in at least 3 equal nonzero entries, and the
-    multiplicity is that value; only entries at t >= the largest generator
-    order count, since a generator cannot act below its order (entry i of
-    the d-th differences sits at t = i + d).  With no such run the table
-    reports stabilized = False and no dimension or multiplicity.
+    H(t) is the number of standard monomials of degree <= t minus the
+    number of pivots of degree <= t.  More than MAX_COLUMNS standard
+    monomials fails the precondition `t-max`.  The dimension is the smallest
+    d whose d-th finite differences end in at least 3 equal nonzero entries,
+    and the multiplicity is that value; only entries at t >= the largest
+    generator order count, since a generator cannot act below its order
+    (entry i of the d-th differences sits at t = i + d).  With no such run
+    the table reports stabilized = False and no dimension or multiplicity.
     """
     if t_max < 3:
         raise PreconditionError("t-max", "t_max must be at least 3")
@@ -176,30 +165,47 @@ def hilbert_samuel(spec: RingSpec, t_max: int = 10) -> HilbertSamuelTable:
                 f"generator known only to degree {g.truncation} < t_max {t_max}",
             )
     nvars = len(spec.variables)
-    monomials = _monomials_up_to(nvars, t_max)
-    degrees = [sum(mono) for mono in monomials]
+    walls = [next(iter(g.coefficients)) for g in generators if len(g.coefficients) == 1]
+    others = [g for g in generators if len(g.coefficients) > 1]
+    # a monomial generator dividing x_i * (a standard monomial) contains x_i
+    walls_through = [[w for w in walls if w[i]] for i in range(nvars)]
     # Exponents packed as base-(t_max + 1) digits, so a product is a sum; no
     # digit overflows, since only products of degree <= t_max are looked up.
     weights = [(t_max + 1) ** i for i in range(nvars)]
-    codes = [sum(map(mul, mono, weights)) for mono in monomials]
-    column = {code: index for index, code in enumerate(codes)}
+    # (code, degree, exponent, last raised variable), breadth first and so in
+    # degree order; raising from the last raised variable on makes each once.
+    standard = [(0, 0, (0,) * nvars, 0)]
+    for code, degree, mono, last in standard:
+        if degree == t_max:
+            break
+        for i in range(last, nvars):
+            raised = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+            if not any(all(map(ge, raised, w)) for w in walls_through[i]):
+                standard.append((code + weights[i], degree + 1, raised, i))
+        if len(standard) > MAX_COLUMNS:
+            raise PreconditionError(
+                "t-max", f"more than {MAX_COLUMNS} standard monomials up to degree {t_max}"
+            )
+    column = {code: index for index, (code, *_) in enumerate(standard)}
+    degrees = [degree for _, degree, _, _ in standard]
 
     rows = []
-    for g in generators:
+    for g in others:
         terms = [
             (sum(e), sum(map(mul, e, weights)), c)
             for e, c in primitive(g.coefficients).items()
         ]
-        for code, mono_degree in zip(codes, degrees):
-            room = t_max - mono_degree
-            row = {column[code + e]: c for degree, e, c in terms if degree <= room}
-            if not row:
+        for code, degree in zip(column, degrees):
+            fits = [(code + e, c) for d, e, c in terms if d <= t_max - degree]
+            if not fits:
                 break  # degrees only grow, so no later shift fits either
-            rows.append(row)
+            row = {column[k]: c for k, c in fits if k in column}
+            if row:
+                rows.append(row)
 
     pivot_degrees = [degrees[col] for col in pivot_columns(rows)]
     values = [
-        _count_monomials(nvars, t) - bisect_right(pivot_degrees, t)
+        bisect_right(degrees, t) - bisect_right(pivot_degrees, t)
         for t in range(t_max + 1)
     ]
 

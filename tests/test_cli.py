@@ -366,6 +366,36 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert diagnostic(err) == check
 
+    @pytest.mark.parametrize("help_argv", [["--help"], ["hs", "-h"]])
+    def test_golden_case_asking_for_help_is_exit_2(self, capsys, tmp_path, help_argv):
+        # cases run in name order; the help action used to end the suite with
+        # exit 0 before the failing second case ran
+        cases = {
+            "a-help": (help_argv, "{}"),
+            "b-failing": (["ord", "--model", "n=0,m=1", "--f", "w1"], '{"ord": 99}'),
+        }
+        for name, (argv, expected) in cases.items():
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "input.json").write_text(
+                json.dumps({"argv": argv}), encoding="utf-8"
+            )
+            (tmp_path / name / "expected.json").write_text(expected, encoding="utf-8")
+        code, out, err = run(capsys, ["golden", "--dir", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == "golden"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hs", "--vars", "a,b,c,d,e,f", "--rel", "a*b", "--f", "c", "--tmax", "60"],
+            ["mult", "--model", "n=0,m=12", "--f", "w1", "--with-hs", "--tmax", "12"],
+        ],
+    )
+    def test_oracle_past_the_column_cap_is_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == "t-max"
+
     @pytest.mark.parametrize("flag", sorted(JSON_FLAGS))
     def test_json_nested_past_the_recursion_limit_is_exit_2(self, capsys, flag):
         deep = '{"nodes":' + "[" * 50000 + "]" * 50000 + "}"

@@ -1,10 +1,14 @@
-"""Seeded fuzz of the CLI exit contract over the JSON arguments of valid argvs.
+"""Seeded fuzz of the CLI exit contract over valid argvs.
 
-Each run takes one valid argv and edits one JSON value at any depth, or
-deletes one key, using replacements from a fixed set.  Shapes and types
-change, never magnitudes, so no run can ask for large resources.  Every run
-must exit 0 or 2; on exit 2 stdout is empty and stderr is exactly one JSON
-line.  `golden` is left out: a golden mismatch exits 3 by design.
+`test_edited_json_exits_0_or_2` takes one valid argv and edits one JSON
+value at any depth, or deletes one key, using replacements from a fixed set.
+Shapes and types change, never magnitudes, so no run can ask for large
+resources.  `test_edited_oracle_argv_exits_0_or_2` makes one character edit
+to the `--tmax`, `--vars`, `--rel` or `--f` text of an `hs` or
+`mult --with-hs` argv; the oracle's column cap keeps a large `--tmax` small.
+`--model` is not edited, since nothing bounds its 2^n branches yet.  Every
+run must exit 0 or 2; on exit 2 stdout is empty and stderr is exactly one
+JSON line.  `golden` is left out: a golden mismatch exits 3 by design.
 """
 
 import json
@@ -37,9 +41,18 @@ VALID = [
     ],
 ]
 
+ORACLE = [
+    ["hs", "--vars", "x,y,z", "--rel", "y^2-x^3", "--f", "x-z^3", "--tmax", "10"],
+    ["hs", "--vars", "u,v,w", "--rel", "u*v", "--f", "w^2+u-v", "--tmax", "12"],
+    ["mult", "--model", "n=1,m=1", "--f", "v1-u1^2+w1^3", "--with-hs", "--tmax", "10"],
+]
+ORACLE_FLAGS = ("--tmax", "--vars", "--rel", "--f")
+ALPHABET = "xyzuvw123069+-*^/(),. é"
+
 REPLACEMENTS = [None, True, 0, -1, "x", [], {}, [[]]]
 DELETE = object()
 RUNS = 500
+ORACLE_RUNS = 400
 
 
 def edits(value, path=()):
@@ -79,8 +92,33 @@ def mutants():
                     yield argv[:position] + [text] + argv[position + 1:]
 
 
+def text_edits():
+    """Every argv with one character deleted, replaced or inserted in the
+    value of one of `ORACLE_FLAGS`."""
+    for argv in ORACLE:
+        for position in range(1, len(argv)):
+            if argv[position - 1] not in ORACLE_FLAGS:
+                continue
+            text = argv[position]
+            edited = [text[:i] + text[i + 1:] for i in range(len(text))]
+            for char in ALPHABET:
+                edited += [text[:i] + char + text[i + 1:] for i in range(len(text))]
+                edited += [text[:i] + char + text[i:] for i in range(len(text) + 1)]
+            for new in edited:
+                yield argv[:position] + [new] + argv[position + 1:]
+
+
+def assert_exit_contract(code, captured, argv):
+    assert code in (0, 2), (argv, captured.err)
+    if code == 2:
+        assert captured.out == "", argv
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, (argv, captured.err)
+        assert isinstance(json.loads(lines[0])["error"], str)
+
+
 def test_valid_argvs_exit_0(capsys):
-    for argv in VALID:
+    for argv in VALID + ORACLE:
         assert main(argv) == 0, capsys.readouterr().err
         assert capsys.readouterr().err == ""
 
@@ -89,11 +127,11 @@ def test_edited_json_exits_0_or_2(capsys):
     cases = list(mutants())
     assert len(cases) > RUNS
     for argv in random.Random(0).sample(cases, RUNS):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code in (0, 2), (argv, captured.err)
-        if code == 2:
-            assert captured.out == "", argv
-            lines = captured.err.splitlines()
-            assert len(lines) == 1, (argv, captured.err)
-            assert isinstance(json.loads(lines[0])["error"], str)
+        assert_exit_contract(main(argv), capsys.readouterr(), argv)
+
+
+def test_edited_oracle_argv_exits_0_or_2(capsys):
+    cases = list(text_edits())
+    assert len(cases) > ORACLE_RUNS
+    for argv in random.Random(1).sample(cases, ORACLE_RUNS):
+        assert_exit_contract(main(argv), capsys.readouterr(), argv)

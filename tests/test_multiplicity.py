@@ -1,15 +1,16 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from nodaltheta.errors import PreconditionError
-from nodaltheta.linalg import rank_sparse
+from nodaltheta.linalg import pivot_columns, primitive, rank_sparse
 from nodaltheta.localmodel import LocalModel, reduce
 from nodaltheta.multiplicity import (
+    MAX_COLUMNS,
     RingSpec,
-    _count_monomials,
-    _monomials_up_to,
     check_eqnmat,
     hilbert_samuel,
     model_ringspec,
@@ -116,6 +117,56 @@ class TestHilbertSamuel:
             hilbert_samuel(spec(XYZ, ["x*y"]), 2)
 
 
+def monomials_up_to(nvars, degree):
+    """Every exponent of degree <= `degree`, in degree order."""
+    if nvars == 0:
+        return [()]
+    out = []
+    for d in range(degree + 1):
+        for combo in combinations_with_replacement(range(nvars), d):
+            exponent = [0] * nvars
+            for i in combo:
+                exponent[i] += 1
+            out.append(tuple(exponent))
+    return out
+
+
+def count_monomials(nvars, degree):
+    """Number of exponents of degree <= `degree`."""
+    total = 1
+    count = 1
+    for d in range(1, degree + 1):
+        count = count * (d + nvars - 1) // d
+        total += count
+    return total
+
+
+def full_elimination_hilbert_function(spec, t_max):
+    """H(t) from one elimination of every product (monomial) * (generator)
+    truncated at t_max, monomial generators included, over all monomials
+    numbered in degree order.  Kept as an oracle for the elimination over
+    standard monomials."""
+    monomials = monomials_up_to(len(spec.variables), t_max)
+    column = {mono: index for index, mono in enumerate(monomials)}
+    rows = []
+    for g in spec.generators():
+        terms = primitive(g.coefficients)
+        for mono in monomials:
+            row = {}
+            for exponent, coefficient in terms.items():
+                product = tuple(map(sum, zip(mono, exponent)))
+                if sum(product) <= t_max:
+                    row[column[product]] = coefficient
+            if not row:
+                break
+            rows.append(row)
+    pivot_degrees = [sum(monomials[col]) for col in pivot_columns(rows)]
+    return [
+        count_monomials(len(spec.variables), t) - bisect_right(pivot_degrees, t)
+        for t in range(t_max + 1)
+    ]
+
+
 def per_degree_hilbert_function(spec, t_max):
     """H(t) by a separate elimination for each t: the rows at t are the
     products (monomial) * (generator) of order <= t, truncated at degree t.
@@ -126,32 +177,34 @@ def per_degree_hilbert_function(spec, t_max):
     for t in range(t_max + 1):
         rows = []
         for g in spec.generators():
-            for mono in _monomials_up_to(nvars, t - g.order()):
+            for mono in monomials_up_to(nvars, t - g.order()):
                 row = {}
                 for exponent, coefficient in g.coefficients.items():
                     product = tuple(a + b for a, b in zip(mono, exponent))
                     if sum(product) <= t:
                         row[column.setdefault(product, len(column))] = coefficient
                 rows.append(row)
-        values.append(_count_monomials(nvars, t) - rank_sparse(rows))
+        values.append(count_monomials(nvars, t) - rank_sparse(rows))
     return values
+
+
+def random_polynomial(rng, variables, truncation):
+    """1-4 terms of degree 1-3 with nonzero rational coefficients."""
+    coefficients = {}
+    for _ in range(rng.randint(1, 4)):
+        exponent = [0] * len(variables)
+        for _ in range(rng.randint(1, 3)):
+            exponent[rng.randrange(len(variables))] += 1
+        coefficients[tuple(exponent)] = Fraction(
+            rng.choice([c for c in range(-6, 7) if c]), rng.randint(1, 5)
+        )
+    return PowerSeries(variables, coefficients, truncation)
 
 
 def random_ideal(rng):
     """1-3 generators without constant term, rational coefficients, order 1-3."""
-    nvars = rng.randint(1, 4)
-    variables = tuple(f"x{i}" for i in range(nvars))
-    generators = []
-    for _ in range(rng.randint(1, 3)):
-        coefficients = {}
-        for _ in range(rng.randint(1, 4)):
-            exponent = [0] * nvars
-            for _ in range(rng.randint(1, 3)):
-                exponent[rng.randrange(nvars)] += 1
-            coefficients[tuple(exponent)] = Fraction(
-                rng.choice([c for c in range(-6, 7) if c]), rng.randint(1, 5)
-            )
-        generators.append(PowerSeries(variables, coefficients, 9))
+    variables = tuple(f"x{i}" for i in range(rng.randint(1, 4)))
+    generators = [random_polynomial(rng, variables, 9) for _ in range(rng.randint(1, 3))]
     return RingSpec(variables, tuple(generators))
 
 
@@ -180,6 +233,50 @@ class TestGradedElimination:
         assert not hilbert_samuel(ring, 10).stabilized
         table = hilbert_samuel(ring, 16)
         assert (table.dimension, table.multiplicity) == (1, 12)
+
+
+class TestStandardMonomials:
+    """The elimination over standard monomials against the full one."""
+
+    @pytest.mark.parametrize(
+        "relations, divisor",
+        [
+            (["3*x*y"], None),  # a monomial generator with coefficient 3
+            (["x^2*y"], None),  # a monomial generator of degree 3
+            (["x*y", "x*y^2"], None),  # one monomial generator dividing another
+            (["y^2 - x^3"], "4*z^2"),  # a monomial divisor
+            (["x*y"], "2*x - x^2*z"),  # y times the divisor has no standard term
+            (["x*y", "y*z^2", "x^3"], "z^4"),  # every generator a monomial
+        ],
+    )
+    def test_matches_full_elimination(self, relations, divisor):
+        rng = random.Random(" ".join(relations))
+        base = spec(XYZ, relations, divisor)
+        for extra in range(6):
+            generators = [random_polynomial(rng, XYZ, 12) for _ in range(min(extra, 2))]
+            ring = RingSpec(XYZ, base.relations + tuple(generators), base.divisor)
+            t_max = rng.randint(3, 9)
+            assert hilbert_samuel(ring, t_max).values == (
+                full_elimination_hilbert_function(ring, t_max)
+            ), (ring, t_max)
+
+    def test_models_match_full_elimination(self):
+        rng = random.Random(13)
+        for n, m in [(n, m) for n in range(3) for m in range(3) if n + m]:
+            model = LocalModel(n, m)
+            for t_max in (10, 11, 12):
+                divisors = [None, random_clean_element(rng, model).series]
+                for ring in (model_ringspec(model, f) for f in divisors):
+                    assert hilbert_samuel(ring, t_max).values == (
+                        full_elimination_hilbert_function(ring, t_max)
+                    ), (n, m, t_max, ring.divisor)
+
+    def test_too_many_columns_rejected(self):
+        names = ("a", "b", "c", "d", "e", "f")
+        with pytest.raises(PreconditionError) as info:
+            hilbert_samuel(spec(names, ["a*b"], "c", truncation=60), 60)
+        assert info.value.name == "t-max"
+        assert str(MAX_COLUMNS) in str(info.value)
 
 
 def random_clean_element(rng, model, truncation=12, max_degree=3, terms=4):
