@@ -12,9 +12,19 @@ general arc-lifting solver here.
 
 Sampling runs in one loop on dense coefficient lists (`series.pull_back`),
 with the divisor and relations compiled once per call, denominators cleared.
+Coefficient d of a pull-back depends only on the images' coefficients of
+degree <= d, so the pull-back to k < n is the first k + 1 coefficients of the
+one to n.  The contact is therefore read from a ladder of truncations
+k = ord(f), 2 ord(f), ... (at least 1), capped at n; an arc is inside the
+divisor only when the rung k = n is zero too.  Most arcs stop at the first
+rung.  Relations are still checked at their full truncation.
+
 Per seed the random stream is fixed: on a model one `random()` per node, then
 one coefficient per degree for each free side and smooth variable (a random
 valid arc); through a parametrization s first, then each unlisted variable.
+A coefficient is drawn by `random.choice(COEFF_BOX)`'s own rejection loop,
+getrandbits(5) until below 19, minus 9, without choice's call overhead: each
+seed gives the same integers and leaves the generator in the same state.
 """
 
 from __future__ import annotations
@@ -38,6 +48,8 @@ from .multiplicity import RingSpec
 from .series import INFINITE, Order, PowerSeries, exact, pull_back
 
 COEFF_BOX = range(-9, 10)
+_BOX_SIZE, _BOX_LOW = len(COEFF_BOX), COEFF_BOX[0]
+_BOX_BITS = _BOX_SIZE.bit_length()  # what `random.choice` draws per try
 DIRECTION_BUDGET = 400  # random directions tried by `_generic_linear_arc`
 
 
@@ -279,7 +291,15 @@ def minimal_arc_through_Z(
 
 
 def _random_list(rng: random.Random, truncation: int) -> list:
-    return [0] + [rng.choice(COEFF_BOX) for _ in range(truncation)]
+    """[0], then `truncation` coefficients drawn as `rng.choice(COEFF_BOX)` draws."""
+    out = [0]
+    getrandbits = rng.getrandbits
+    for _ in range(truncation):
+        r = getrandbits(_BOX_BITS)
+        while r >= _BOX_SIZE:
+            r = getrandbits(_BOX_BITS)
+        out.append(r + _BOX_LOW)
+    return out
 
 
 @dataclass(frozen=True)
@@ -303,6 +323,18 @@ def _compile(series: PowerSeries, names: Tuple[str, ...], integral: bool = True)
         (tuple(dict(zip(series.variables, e)).get(v, 0) for v in names), exact(c * scale))
         for e, c in series.coefficients.items()
     ]
+
+
+def _first_nonzero(terms: list, arc: list, order: int, n: int) -> Optional[int]:
+    """Degree of the first nonzero coefficient of `pull_back(terms, arc, n)`,
+    None if all are zero.  Rungs k = order, 2·order, ... (at least 1, at most
+    n): the pull-back to k is the first k + 1 coefficients of the one to n."""
+    k = min(max(order, 1), n)
+    while True:
+        contact = next((d for d, c in enumerate(pull_back(terms, arc, k)) if c), None)
+        if contact is not None or k == n:
+            return contact
+        k = min(2 * k, n)
 
 
 def _sample(
@@ -329,7 +361,7 @@ def _sample(
                 raise PreconditionError(
                     "relation-violated", f"relation {relation} does not vanish along the arc"
                 )
-        contact = next((d for d, c in enumerate(pull_back(terms, arc, n)) if c), None)
+        contact = _first_nonzero(terms, arc, order, n)
         if contact is None:
             skipped += 1
             continue

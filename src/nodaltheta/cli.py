@@ -16,7 +16,9 @@ cannot be read or parsed is an `input` error.
 Exit statuses, one row of `_EXITS` per exception type: 0 success, 2
 precondition or validation failure (one JSON line on standard error naming
 the violated check), 3 internal assertion failure, which means a bug or a
-counterexample and is deliberately loud.  No traceback reaches the user.
+counterexample and is deliberately loud.  A report whose standard output is
+closed before it is written exits 1 (`EXIT_STDOUT_CLOSED`) and prints
+nothing more.  No traceback reaches the user.
 """
 
 from __future__ import annotations
@@ -690,6 +692,23 @@ _EXITS = (
 )
 
 
+# Exit status when standard output is closed before the report is written
+# (`nodaltheta ... | head -c 1`): not a bug, so not 3.
+EXIT_STDOUT_CLOSED = 1
+
+
+def _write(line: str, stream) -> bool:
+    """Print and flush `line`; False if the reader closed the pipe.  The stream
+    is then pointed at os.devnull, so that the flush at interpreter exit
+    writes nothing and prints no traceback."""
+    try:
+        print(line, file=stream, flush=True)
+        return True
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return False
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -697,10 +716,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # never let a traceback reach the user
         name, status = next((n, s) for kind, n, s in _EXITS if isinstance(exc, kind))
         message = f"{type(exc).__name__}: {exc}" if name == "internal" else str(exc)
-        print(canonical_json({"error": name or exc.name, "message": message}), file=sys.stderr)
+        _write(canonical_json({"error": name or exc.name, "message": message}), sys.stderr)
         return status
-    print(canonical_json(payload))
-    return 0
+    return 0 if _write(canonical_json(payload), sys.stdout) else EXIT_STDOUT_CLOSED
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nodaltheta import arcs
 from nodaltheta.arcs import (
     COEFF_BOX,
     ArcInsideDivisor,
@@ -17,12 +18,15 @@ from nodaltheta.arcs import (
     parametrization_from_powers,
     sample_arcs_check,
     sample_parametrized_arcs_check,
+    _compile,
+    _first_nonzero,
+    _random_list,
 )
 from nodaltheta.errors import PreconditionError
 from nodaltheta.localmodel import LocalModel, reduce
 from nodaltheta.multiplicity import RingSpec
 from nodaltheta.parsing import parse_series
-from nodaltheta.series import INFINITE, PowerSeries
+from nodaltheta.series import INFINITE, PowerSeries, pull_back
 
 from test_multiplicity import random_clean_element
 
@@ -433,3 +437,94 @@ class TestDenseSamplerMatchesOracle:
             sample_arcs_check(f, -1, 8, seed=0)
         assert info.value.name == "count"
         assert sample_arcs_check(f, 0, 8, seed=0).requested == 0
+
+
+class TestRandomDraws:
+    def test_random_list_draws_as_choice(self):
+        for seed in range(50):
+            for truncation in range(21):
+                fast, slow = random.Random(seed), random.Random(seed)
+                expected = [0] + [slow.choice(COEFF_BOX) for _ in range(truncation)]
+                assert _random_list(fast, truncation) == expected
+                assert fast.getstate() == slow.getstate()
+
+
+class TestContactLadder:
+    """The contact read from rungs k = order, 2*order, ..., n is the first
+    nonzero coefficient of the pull-back at full truncation n."""
+
+    @staticmethod
+    def climb(monkeypatch, terms, arc, order, n):
+        """The contact and the truncations at which the pull-back was taken."""
+        rungs = []
+
+        def spy(terms, images, k):
+            rungs.append(k)
+            return pull_back(terms, images, k)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(arcs, "pull_back", spy)
+            contact = _first_nonzero(terms, arc, order, n)
+        full = pull_back(terms, arc, n)
+        assert contact == next((d for d, c in enumerate(full) if c), None)
+        return contact, rungs
+
+    @staticmethod
+    def series_list(exponents, n):
+        out = [0] * (n + 1)
+        for d, c in exponents.items():
+            out[d] = c
+        return out
+
+    def test_cusp_contact_three_needs_two_more_rungs(self, monkeypatch):
+        spec = RingSpec(
+            XYZ, (parse_series("y^2 - x^3", XYZ, 16),), parse_series("y - 2*z^3", XYZ, 16)
+        )
+        terms = _compile(spec.divisor, XYZ)
+        # s = t + t^2, x = s^2, y = s^3, z = t: y - 2 z^3 = -t^3 + ...
+        arc = [
+            self.series_list({2: 1, 3: 2, 4: 1}, 16),
+            self.series_list({3: 1, 4: 3, 5: 3, 6: 1}, 16),
+            self.series_list({1: 1}, 16),
+        ]
+        assert self.climb(monkeypatch, terms, arc, 1, 16) == (3, [1, 2, 4])
+        hook = parametrization_from_powers(spec, cusp_powers("x:s^2,y:s^3", 16))
+        rng = random.Random(5)
+        contacts = set()
+        for _ in range(40):
+            images = hook(rng, 16)
+            contact, _ = self.climb(monkeypatch, terms, [images[v] for v in XYZ], 1, 16)
+            contacts.add(contact)
+        assert 3 in contacts and min(contacts) >= 3
+
+    def test_unit_divisor_has_order_zero(self, monkeypatch):
+        spec = RingSpec(XYZ)
+        divisor = parse_series("1 + x", XYZ, 8)
+        terms = _compile(divisor, XYZ)
+        arc = [self.series_list({1: 3}, 8)] * 3
+        assert self.climb(monkeypatch, terms, arc, 0, 8) == (0, [1])
+        hook = parametrization_from_powers(spec, {})
+        report = sample_parametrized_arcs_check(spec, divisor, hook, 10, 8, seed=2)
+        assert (report.order, report.min_contact, report.used) == (0, 0, 10)
+
+    def test_truncation_zero(self, monkeypatch):
+        model = LocalModel(1, 1)
+        f = model.element("v1 - u1^2", 8)
+        terms = _compile(f.series, model.variables)
+        assert self.climb(monkeypatch, terms, [[0]] * 3, 1, 0) == (None, [0])
+        unit = _compile(model.element("2 + w1", 8).series, model.variables)
+        assert self.climb(monkeypatch, unit, [[0]] * 3, 0, 0) == (0, [0])
+        report = sample_arcs_check(f, 10, 0, seed=4)
+        assert (report.used, report.skipped_inside) == (0, 10)
+        assert report == oracle_report(oracle_model_draw(model, 0), f.series, 10, 0, 4)
+
+    @pytest.mark.parametrize("n, rungs", [(16, [2, 4, 8, 16]), (13, [2, 4, 8, 13])])
+    def test_inside_the_divisor_only_up_to_the_last_rung(self, monkeypatch, n, rungs):
+        model = LocalModel(0, 2)
+        terms = _compile(model.element("w1^2 - w2^3", n).series, model.variables)
+        w2 = self.series_list({2: 1}, n)
+        # w1 = t^3 + 5 t^(n-3): w1^2 - w2^3 = 10 t^n + O(t^(n+1))
+        near = [self.series_list({3: 1, n - 3: 5}, n), w2]
+        assert self.climb(monkeypatch, terms, near, 2, n) == (n, rungs)
+        inside = [self.series_list({3: 1}, n), w2]
+        assert self.climb(monkeypatch, terms, inside, 2, n) == (None, rungs)

@@ -3,13 +3,21 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import nodaltheta
 
-from nodaltheta.cli import build_parser, canonical_json, dispatch, golden_suite, main
+from nodaltheta.cli import (
+    EXIT_STDOUT_CLOSED,
+    build_parser,
+    canonical_json,
+    dispatch,
+    golden_suite,
+    main,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "golden"
@@ -396,6 +404,28 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert diagnostic(err) == "t-max"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mult", "--model", "n=30,m=0", "--f", "u1+v1"],
+            ["mult", "--model", '{"n":17,"m":1}', "--f", "u1+v1+w1"],
+            ["arc", "--model", "n=17,m=0", "--f", "u1+v1", "--minimal"],
+        ],
+    )
+    def test_model_past_the_branch_budget_is_exit_2(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == "model"
+
+    def test_sampling_accepts_models_past_the_branch_budget(self, capsys):
+        code, out, _ = run(
+            capsys, ["arcs-sample", "--model", "n=30,m=0", "--f", "u1+v1", "--count", "5"]
+        )
+        assert code == 0
+        assert json.loads(out)["minContact"] == 1
+
     @pytest.mark.parametrize("flag", sorted(JSON_FLAGS))
     def test_json_nested_past_the_recursion_limit_is_exit_2(self, capsys, flag):
         deep = '{"nodes":' + "[" * 50000 + "]" * 50000 + "}"
@@ -458,6 +488,39 @@ class TestLargePowers:
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["ord"] == ("Infinite" if expression.startswith("w1") else 0)
+
+class TestClosedStdout:
+    """A reader that closes the pipe early gets no traceback on stderr."""
+
+    @staticmethod
+    def spawn(argv, **streams):
+        # Block-buffered stdout, so that a short report fails only at the flush.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(nodaltheta.__file__).resolve().parent.parent)
+        return subprocess.Popen(
+            [sys.executable, "-m", "nodaltheta.cli", *argv], stderr=subprocess.PIPE,
+            env=env, **streams,
+        )
+
+    def test_pipe_closed_before_the_report(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            process = self.spawn(["ord", "--model", "n=1,m=1", "--f", "v1"], stdout=write)
+        finally:
+            os.close(write)
+        _, err = process.communicate(timeout=30)
+        assert (process.returncode, err) == (EXIT_STDOUT_CLOSED, b"")
+
+    def test_pipe_closed_after_one_byte(self):
+        # about 150 KB of report, more than a pipe buffers
+        argv = ["mult", "--model", "n=13,m=0", "--f", "u1+v1"]
+        process = self.spawn(argv, stdout=subprocess.PIPE)
+        assert process.stdout.read(1) == b"{"
+        process.stdout.close()
+        err = process.stderr.read()
+        assert (process.wait(timeout=30), err) == (EXIT_STDOUT_CLOSED, b"")
+
 
 class TestGoldenSuite:
     def test_shipped_cases_pass(self):

@@ -4,11 +4,11 @@
 value at any depth, or deletes one key, using replacements from a fixed set.
 Shapes and types change, never magnitudes, so no run can ask for large
 resources.  `test_edited_oracle_argv_exits_0_or_2` makes one character edit
-to the `--tmax`, `--vars`, `--rel` or `--f` text of an `hs` or
-`mult --with-hs` argv; the oracle's column cap keeps a large `--tmax` small.
-`--model` is not edited, since nothing bounds its 2^n branches yet.  Every
-run must exit 0 or 2; on exit 2 stdout is empty and stderr is exactly one
-JSON line.  `golden` is left out: a golden mismatch exits 3 by design.
+to the `--tmax`, `--vars`, `--rel`, `--f` or `--model` text of an `hs`,
+`mult --with-hs`, `arc --minimal` or `arcs-sample` argv; the oracle's column
+cap keeps a large `--tmax` small, and the branch budget a large node count.
+Every run must exit 0 or 2; on exit 2 stdout is empty and stderr is exactly
+one JSON line.  `golden` is left out: a golden mismatch exits 3 by design.
 """
 
 import json
@@ -45,8 +45,10 @@ ORACLE = [
     ["hs", "--vars", "x,y,z", "--rel", "y^2-x^3", "--f", "x-z^3", "--tmax", "10"],
     ["hs", "--vars", "u,v,w", "--rel", "u*v", "--f", "w^2+u-v", "--tmax", "12"],
     ["mult", "--model", "n=1,m=1", "--f", "v1-u1^2+w1^3", "--with-hs", "--tmax", "10"],
+    ["arc", "--model", "n=1,m=1", "--f", "v1-u1^2+w1^3", "--minimal"],
+    ["arcs-sample", "--model", "n=1,m=1", "--f", "v1-u1^2+w1^3", "--count", "20"],
 ]
-ORACLE_FLAGS = ("--tmax", "--vars", "--rel", "--f")
+ORACLE_FLAGS = ("--tmax", "--vars", "--rel", "--f", "--model")
 ALPHABET = "xyzuvw123069+-*^/(),. é"
 
 REPLACEMENTS = [None, True, 0, -1, "x", [], {}, [[]]]

@@ -4,6 +4,7 @@ import pytest
 
 from nodaltheta.errors import PreconditionError
 from nodaltheta.localmodel import (
+    MAX_BRANCH_NODES,
     LocalModel,
     branch_orders,
     branch_project,
@@ -27,6 +28,16 @@ class TestModel:
     def test_degenerate_model_rejected(self):
         with pytest.raises(PreconditionError):
             LocalModel(0, 0)
+
+    def test_branch_budget(self):
+        assert len(list(LocalModel(3, 0).branches())) == 8
+        LocalModel(MAX_BRANCH_NODES, 0).branches()
+        past = LocalModel(MAX_BRANCH_NODES + 1, 2)  # a model may still be built
+        with pytest.raises(PreconditionError) as info:
+            past.branches()
+        assert info.value.name == "model"
+        with pytest.raises(PreconditionError):
+            branch_orders(past.element("u1 + w1"))
 
     def test_branch_enumeration_order(self):
         assert list(LocalModel(2, 0).branches()) == [
