@@ -11,13 +11,17 @@ Arbitrary rings get arcs only through user parametrizations: there is no
 general arc-lifting solver here.
 
 Sampling runs in one loop on dense coefficient lists (`series.pull_back`),
-with the divisor and relations compiled once per call, denominators cleared.
-Coefficient d of a pull-back depends only on the images' coefficients of
-degree <= d, so the pull-back to k < n is the first k + 1 coefficients of the
-one to n.  The contact is therefore read from a ladder of truncations
-k = ord(f), 2 ord(f), ... (at least 1), capped at n; an arc is inside the
-divisor only when the rung k = n is zero too.  Most arcs stop at the first
-rung.  Relations are still checked at their full truncation.
+with the divisor compiled once per call, denominators cleared.  Coefficient
+d of a pull-back depends only on the images' coefficients of degree <= d, so
+the pull-back to k < n is the first k + 1 coefficients of the one to n.  The
+contact is therefore read from a ladder of truncations k = ord(f),
+2 ord(f), ... (at least 1), capped at n; an arc is inside the divisor only
+when the rung k = n is zero too.  Most arcs stop at the first rung.
+
+Through a parametrization (listed variables as series in one auxiliary s,
+the others free) the relations and the divisor are composed once per call,
+as series in s and the unlisted variables; a relation that does not compose
+to zero is rejected before any draw.
 
 Per seed the random stream is fixed: on a model one `random()` per node, then
 one coefficient per degree for each free side and smooth variable (a random
@@ -40,7 +44,6 @@ from .localmodel import (
     BranchIndex,
     LocalModel,
     ModelElement,
-    branch_orders,
     branch_project,
     branch_variables,
 )
@@ -234,15 +237,20 @@ def _require_arc_order(element: ModelElement, truncation: int) -> int:
 def minimal_arc(element: ModelElement, truncation: int, seed: int) -> MinimalArc:
     """An arc whose contact equals the order of vanishing.
 
-    Selects a branch of minimal order and takes a generic linear arc on it:
+    Takes the least branch of minimal order and a generic linear arc on it:
     coordinates map to a_j * t with the branch leading form nonvanishing at
-    the direction vector, so the contact is exactly the order.
+    the direction vector, so the contact is exactly the order.  A monomial of
+    degree ord(f) survives exactly on the branches that keep the side of each
+    node it uses, and u is the least side at the others: no 2^n walk.
     """
     order = _require_arc_order(element, truncation)
     rng = random.Random(seed)
-    best = min(branch_orders(element), key=lambda b: (b.order, b.branch))
-    assert best.order == order
-    branch = best.branch
+    n = element.model.n
+    branch = min(
+        tuple("v" if e[n + i] else "u" for i in range(n))
+        for e in element.series.coefficients
+        if sum(e) == order
+    )
     projected = branch_project(element, branch)
     direction = _generic_linear_arc(projected, branch_variables(element.model, branch), rng)
     if direction is None:
@@ -312,15 +320,17 @@ class ArcSampleReport:
     seed: int
 
 
-def _compile(series: PowerSeries, names: Tuple[str, ...], integral: bool = True) -> list:
-    """`series` as `pull_back` terms, exponents over `names`.  `integral` clears
-    denominators: a nonzero scalar changes no t-order and no vanishing."""
-    missing = [v for v in series.variables if v not in names]
+def _compile(series: PowerSeries, names: Tuple[str, ...]) -> list:
+    """`series` as `pull_back` terms, exponents over `names`, denominators
+    cleared: a nonzero scalar changes no t-order and no vanishing."""
+    known = set(names)
+    missing = [v for v in series.variables if v not in known]
     if missing:
         raise PreconditionError("substitute", f"no image for variables {missing}")
-    scale = lcm(*(c.denominator for c in series.coefficients.values())) if integral else 1
+    scale = lcm(*(c.denominator for c in series.coefficients.values()))
+    position = {v: i for i, v in enumerate(series.variables)}
     return [
-        (tuple(dict(zip(series.variables, e)).get(v, 0) for v in names), exact(c * scale))
+        (tuple(e[position[v]] if v in position else 0 for v in names), exact(c * scale))
         for e, c in series.coefficients.items()
     ]
 
@@ -337,31 +347,27 @@ def _first_nonzero(terms: list, arc: list, order: int, n: int) -> Optional[int]:
         k = min(2 * k, n)
 
 
-def _sample(
-    draw: Callable[[random.Random], list], names: Tuple[str, ...], divisor: PowerSeries,
-    order: int, relations: Tuple[PowerSeries, ...], count: int, truncation: int, seed: int,
-) -> ArcSampleReport:
-    """Check the relations and contact >= `order` on `count` arcs from `draw(rng)`,
-    each dense lists in `names` order, truncation + 1 long, zero constant term.
-    Arcs inside the divisor (to truncation) are skipped; a contact below the
-    order would contradict the lower bound and raises loudly."""
+def _check_request(count: int, truncation: int) -> None:
     if count < 0:
         raise PreconditionError("count", f"arc count must be >= 0, got {count}")
     if truncation < 0:
         raise PreconditionError("truncation", "truncation must be >= 0")
+
+
+def _sample(
+    draw: Callable[[random.Random], list], names: Tuple[str, ...], divisor: PowerSeries,
+    order: int, count: int, truncation: int, seed: int,
+) -> ArcSampleReport:
+    """Check contact >= `order` on `count` arcs from `draw(rng)`, each dense
+    lists in `names` order, truncation + 1 long, zero constant term.  Arcs
+    inside the divisor (to truncation) are skipped; a contact below the order
+    would contradict the lower bound and raises loudly."""
     terms, n = _compile(divisor, names), min(truncation, divisor.truncation)
-    checks = [(r, _compile(r, names), min(truncation, r.truncation)) for r in relations]
     rng = random.Random(seed)
     used = skipped = 0
     minimum: Optional[int] = None
     for _ in range(count):
-        arc = draw(rng)
-        for relation, relation_terms, relation_n in checks:
-            if any(pull_back(relation_terms, arc, relation_n)):
-                raise PreconditionError(
-                    "relation-violated", f"relation {relation} does not vanish along the arc"
-                )
-        contact = _first_nonzero(terms, arc, order, n)
+        contact = _first_nonzero(terms, draw(rng), order, n)
         if contact is None:
             skipped += 1
             continue
@@ -382,9 +388,11 @@ def sample_arcs_check(
         raise PreconditionError("zero-series", "element is zero to truncation")
     if order == 0:
         raise PreconditionError("unit", "element does not vanish at the origin")
+    _check_request(count, truncation)
     names = element.model.variables
-    pairs = [(names.index(u), names.index(v)) for u, v in element.model.node_pairs()]
-    smooth = [names.index(w) for w in element.model.smooth_variables()]
+    index = {name: i for i, name in enumerate(names)}
+    pairs = [(index[u], index[v]) for u, v in element.model.node_pairs()]
+    smooth = [index[w] for w in element.model.smooth_variables()]
 
     def draw(rng: random.Random) -> list:
         arc = [[0] * (truncation + 1)] * len(names)  # then overwrite the free sides
@@ -395,40 +403,42 @@ def sample_arcs_check(
             arc[w] = _random_list(rng, truncation)
         return arc
 
-    return _sample(draw, names, element.series, order, (), count, truncation, seed)
+    return _sample(draw, names, element.series, order, count, truncation, seed)
 
 
-Parametrization = Callable[[random.Random, int], Dict[str, list]]
+@dataclass(frozen=True)
+class Parametrization:
+    """Listed variables as series in one auxiliary s; the rest drawn freely."""
+
+    spec: RingSpec
+    powers: Mapping[str, PowerSeries]
 
 
 def parametrization_from_powers(
     spec: RingSpec, powers: Mapping[str, PowerSeries]
 ) -> Parametrization:
-    """Build a sampling hook from expressions in one auxiliary series s.
-
-    Listed variables map to their expression evaluated at a random s with
-    zero constant term; unlisted variables are drawn freely.  With the
-    cuspidal pattern x = s^2, y = s^3 every draw satisfies y^2 = x^3.  The
-    hook returns dense coefficient lists, never rescaled.
-    """
-    compiled = {}
-    for name, expr in powers.items():
+    """With the cuspidal pattern x = s^2, y = s^3 every arc satisfies y^2 = x^3."""
+    for name in powers:
         if name not in spec.variables:
             raise PreconditionError("parametrize", f"unknown variable {name!r}")
-        compiled[name] = (_compile(expr, ("s",), integral=False), expr.truncation)
+    return Parametrization(spec, dict(powers))
 
-    def draw(rng: random.Random, truncation: int) -> Dict[str, list]:
-        s = [_random_list(rng, truncation)]
-        images = {}
-        for name in spec.variables:
-            if name in compiled:
-                terms, known = compiled[name]
-                images[name] = pull_back(terms, s, min(truncation, known))
-            else:
-                images[name] = _random_list(rng, truncation)
-        return images
 
-    return draw
+def _compose(series: PowerSeries, images, formal, truncation: int) -> PowerSeries:
+    """`series` with each variable replaced by its image over `formal`, to
+    total degree min(truncation, series.truncation)."""
+    missing = [v for v in series.variables if v not in images]
+    if missing:
+        raise PreconditionError("substitute", f"no image for variables {missing}")
+    n = min(truncation, series.truncation)
+    total = PowerSeries.zero(formal, n)
+    for e, c in series.coefficients.items():
+        term = PowerSeries.constant(formal, c, n)
+        for name, k in zip(series.variables, e):
+            if k:
+                term = term * images[name] ** k
+        total = total + term
+    return total
 
 
 def sample_parametrized_arcs_check(
@@ -439,14 +449,32 @@ def sample_parametrized_arcs_check(
     truncation: int,
     seed: int,
 ) -> ArcSampleReport:
-    """Sampling check on an arbitrary ring through a parametrization hook;
-    each draw is validated as `make_general_arc` validates its images."""
+    """Sampling check through a parametrization, its images validated once as
+    `make_general_arc` validates them.  Images of the formal variables
+    (aux, *unlisted) have zero constant term, so a series composed to total
+    degree n is its pull-back to t^n along every arc: one composition checks
+    a relation, and an arc is the drawn lists [s, w_1, ...]."""
     order = divisor.order()
     if order is INFINITE:
         raise PreconditionError("zero-series", "divisor equation is zero")
+    _check_request(count, truncation)
+    powers = parametrization.powers
+    clean = _validate_images([v for v in spec.variables if v in powers], powers, truncation)
+    aux = "s"
+    while aux in spec.variables:
+        aux += "'"
+    formal = (aux,) + tuple(v for v in spec.variables if v not in powers)
+    images = {v: PowerSeries.variable(v, formal, truncation) for v in formal}
+    s = {"s": images.pop(aux)}
+    images.update((v, _compose(expr, s, formal, truncation)) for v, expr in clean.items())
+    for relation in spec.relations:
+        if not _compose(relation, images, formal, truncation).is_zero():
+            raise PreconditionError(
+                "relation-violated", f"relation {relation} does not vanish along the arc"
+            )
 
     def draw(rng: random.Random) -> list:
-        images = parametrization(rng, truncation)
-        return list(_validate_images(spec.variables, images, truncation).values())
+        return [_random_list(rng, truncation) for _ in formal]
 
-    return _sample(draw, spec.variables, divisor, order, spec.relations, count, truncation, seed)
+    composed = _compose(divisor, images, formal, truncation)
+    return _sample(draw, formal, composed, order, count, truncation, seed)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from nodaltheta.arcs import (
     _random_list,
 )
 from nodaltheta.errors import PreconditionError
-from nodaltheta.localmodel import LocalModel, reduce
+from nodaltheta.localmodel import LocalModel, branch_orders, reduce
 from nodaltheta.multiplicity import RingSpec
 from nodaltheta.parsing import parse_series
 from nodaltheta.series import INFINITE, PowerSeries, pull_back
@@ -143,6 +144,17 @@ class TestMinimalArc:
                 f = random_clean_element(rng, model, truncation=8)
                 found = minimal_arc(f, 8, seed=k)
                 assert found.contact == f.order()
+
+    def test_branch_is_the_least_of_minimal_order(self):
+        rng = random.Random(43)
+        for n in range(7):
+            for m in range(3 if n else 1, 3):
+                model = LocalModel(n, m)
+                for _ in range(6):
+                    f = random_divisor(rng, model, 8)
+                    walked = min(branch_orders(f), key=lambda b: (b.order, b.branch))
+                    assert walked.order == f.order()
+                    assert minimal_arc(f, 8, seed=0).branch == walked.branch
 
 
 class TestZArcs:
@@ -399,6 +411,18 @@ class TestDenseSamplerMatchesOracle:
             draw = oracle_parametrized_draw(spec, {}, truncation)
             assert report == oracle_report(draw, divisor, 12, truncation, seed)
 
+    def test_s_is_drawn_with_nothing_listed(self):
+        # An arc lies inside x - y iff x and y draw the same t coefficient,
+        # so the skipped count follows the stream draw by draw.
+        spec = RingSpec(XYZ)
+        divisor = parse_series("x - y", XYZ, 1)
+        hook = parametrization_from_powers(spec, {})
+        draw = oracle_parametrized_draw(spec, {}, 1)
+        for seed in range(3):
+            report = sample_parametrized_arcs_check(spec, divisor, hook, 300, 1, seed)
+            assert report.skipped_inside > 0
+            assert report == oracle_report(draw, divisor, 300, 1, seed)
+
     @pytest.mark.parametrize("param", ["x:s^2,y:s^3", "x:1/4*s^2,y:1/8*s^3"])
     @pytest.mark.parametrize("divisor", ["x - z^3", "y - 2*z^3", "3/2*x - z^2"])
     def test_cusp(self, param, divisor):
@@ -430,6 +454,49 @@ class TestDenseSamplerMatchesOracle:
         with pytest.raises(PreconditionError) as old:
             oracle_report(draw, spec.divisor, 100, 16, seed=0)
         assert (new.value.name, str(new.value)) == (old.value.name, str(old.value))
+        # The images and relations are checked before any draw.
+        with pytest.raises(PreconditionError) as early:
+            sample_parametrized_arcs_check(spec, spec.divisor, hook, 0, 16, seed=0)
+        assert (early.value.name, str(early.value)) == (old.value.name, str(old.value))
+
+    @pytest.mark.parametrize(
+        "variables, relation, param, divisor",
+        [
+            (("x", "y", "s"), "y^2 - x^3", "x:s^2,y:s^3", "x - s^3"),
+            (XYZ, "y^3 - x^5", "x:s^3,y:s^5", "y - 2*z^2"),
+            (XYZ, "(y-x)^2 - x^3", "x:s^2,y:s^2+s^3", "3/2*y - z^3"),
+        ],
+    )
+    def test_composed_parametrizations(self, variables, relation, param, divisor):
+        # The first ring has a variable named s, unlisted and drawn freely.
+        for truncation in range(3, 13):  # every relation is zero below 2 or 3
+            spec = RingSpec(
+                variables,
+                (parse_series(relation, variables, truncation),),
+                parse_series(divisor, variables, truncation),
+            )
+            powers = cusp_powers(param, truncation)
+            hook = parametrization_from_powers(spec, powers)
+            draw = oracle_parametrized_draw(spec, powers, truncation)
+            for seed in (1, 8):
+                report = sample_parametrized_arcs_check(
+                    spec, spec.divisor, hook, 20, truncation, seed
+                )
+                assert report == oracle_report(draw, spec.divisor, 20, truncation, seed)
+
+    @pytest.mark.parametrize("param", ["x:s^2,y:s^3", "x:s^2,y:s^2"])
+    def test_relation_known_to_a_lower_truncation(self, param):
+        # Known to degree 3, y^2 - x^3 holds along x = y = s^2 too: s^4 - s^6
+        # vanishes to that degree.
+        spec = RingSpec(
+            XYZ, (parse_series("y^2 - x^3", XYZ, 3),), parse_series("x - z^3", XYZ, 12)
+        )
+        powers = cusp_powers(param, 12)
+        hook = parametrization_from_powers(spec, powers)
+        draw = oracle_parametrized_draw(spec, powers, 12)
+        for seed in range(3):
+            report = sample_parametrized_arcs_check(spec, spec.divisor, hook, 30, 12, seed)
+            assert report == oracle_report(draw, spec.divisor, 30, 12, seed)
 
     def test_negative_count_rejected(self):
         f = LocalModel(1, 1).element("v1 - u1^2", 8)
@@ -437,6 +504,15 @@ class TestDenseSamplerMatchesOracle:
             sample_arcs_check(f, -1, 8, seed=0)
         assert info.value.name == "count"
         assert sample_arcs_check(f, 0, 8, seed=0).requested == 0
+
+    def test_model_set_up_is_linear_in_the_nodes(self):
+        # Finding each node's variables by position was quadratic in n: about
+        # 7 s at n = 3000.
+        f = LocalModel(3000, 0).element("u1 + v1")
+        start = time.perf_counter()
+        report = sample_arcs_check(f, 10, 16, seed=0)
+        assert time.perf_counter() - start < 3
+        assert (report.used, report.min_contact) == (10, 1)
 
 
 class TestRandomDraws:
@@ -488,12 +564,12 @@ class TestContactLadder:
             self.series_list({1: 1}, 16),
         ]
         assert self.climb(monkeypatch, terms, arc, 1, 16) == (3, [1, 2, 4])
-        hook = parametrization_from_powers(spec, cusp_powers("x:s^2,y:s^3", 16))
+        draw = oracle_parametrized_draw(spec, cusp_powers("x:s^2,y:s^3", 16), 16)
         rng = random.Random(5)
         contacts = set()
         for _ in range(40):
-            images = hook(rng, 16)
-            contact, _ = self.climb(monkeypatch, terms, [images[v] for v in XYZ], 1, 16)
+            images = draw(rng)
+            contact, _ = self.climb(monkeypatch, terms, [images[v].dense() for v in XYZ], 1, 16)
             contacts.add(contact)
         assert 3 in contacts and min(contacts) >= 3
 

@@ -409,7 +409,6 @@ class TestExitCodes:
         [
             ["mult", "--model", "n=30,m=0", "--f", "u1+v1"],
             ["mult", "--model", '{"n":17,"m":1}', "--f", "u1+v1+w1"],
-            ["arc", "--model", "n=17,m=0", "--f", "u1+v1", "--minimal"],
         ],
     )
     def test_model_past_the_branch_budget_is_exit_2(self, capsys, argv):
@@ -425,6 +424,22 @@ class TestExitCodes:
         )
         assert code == 0
         assert json.loads(out)["minContact"] == 1
+
+    def test_minimal_arc_accepts_models_past_the_branch_budget(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["arc", "--model", "n=17,m=0", "--f", "u1+v1", "--minimal"])
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert json.loads(out)["branch"] == "u" * 17
+
+    def test_parametrization_off_the_relations_is_exit_2_at_count_0(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["arcs-sample", "--vars", "x,y,z", "--rel", "y^2-x^3", "--f", "x-z^3",
+             "--param", "x:s^2,y:s^2", "--count", "0"],
+        )
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == "relation-violated"
 
     @pytest.mark.parametrize("flag", sorted(JSON_FLAGS))
     def test_json_nested_past_the_recursion_limit_is_exit_2(self, capsys, flag):
