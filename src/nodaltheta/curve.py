@@ -27,8 +27,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import IndeterminateAtTruncation, PreconditionError, VerificationError
 from .linalg import rank_dense
-from .series import DEFAULT_TRUNCATION, PowerSeries, clear_denominators, exact, mul_lists
-from .smith import constant_matrix, diagonalize, kernel_basis
+from .series import DEFAULT_TRUNCATION, PowerSeries, clear_denominators, mul_lists
+from .smith import IntRows, dense_kernel, diagonalize
 
 DROP_RESAMPLES = 5  # random points tried per twist in `general_drop_check`
 MINIMAL_FAMILY_BUDGET = 80  # divisor draws in `make_minimal_family`
@@ -124,13 +124,27 @@ class TFSheaf:
             raise PreconditionError("sheaf", "gluing scalars must be nonzero")
 
 
-def _condition_rows(curve: RationalNodalCurve, sheaf: TFSheaf) -> List[List[Fraction]]:
+def _node_row(p: Fraction, q: Fraction, left: list, right: list, k: int) -> List[list]:
+    """The condition s(p) left = s(q) right on the coefficients of s, of
+    degree <= k: entries p^i left - q^i right for i = 0..k, times
+    den(p)^k den(q)^k, so that they are int lists when left and right are."""
+    x, y = p.denominator**k, q.denominator**k  # p^i and q^i times those
+    left, right = [y * a for a in left], [x * b for b in right]
+    row = []
+    for i in range(k + 1):
+        if i:
+            x, y = x // p.denominator * p.numerator, y // q.denominator * q.numerator
+        row.append([x * a - y * b for a, b in zip(left, right)])
+    return row
+
+
+def _condition_rows(curve: RationalNodalCurve, sheaf: TFSheaf) -> List[List[int]]:
+    """Row j is s(p_j) - lambda_j s(q_j), scaled to ints."""
     d = sheaf.line_degree
-    rows = []
-    for j, lam in sheaf.gluing:
-        p, q = curve.nodes[j]
-        rows.append([p**i - lam * q**i for i in range(d + 1)])
-    return rows
+    return [
+        [c for (c,) in _node_row(*curve.nodes[j], [lam.denominator], [lam.numerator], d)]
+        for j, lam in sheaf.gluing
+    ]
 
 
 def cohomology(curve: RationalNodalCurve, sheaf: TFSheaf) -> Tuple[int, int]:
@@ -221,37 +235,20 @@ def general_drop_check(
     rng = random.Random(seed)
     avoid = set(curve.node_points())
     resamples = 0
-    h0_drops = 0
-    h1_drops = 0
+    # (twist sign, index into (h0, h1), value): down drops h0, up drops h1
+    checks = [(-1, 0, h0_value)] + ([(1, 1, h1_value)] if h1_value >= 1 else [])
     for _ in range(trials):
-        found = False
-        for _ in range(DROP_RESAMPLES):
-            point = _draw_point(rng, avoid)
-            twisted = twist_by_point(sheaf, point, -1, curve)
-            resamples += 1
-            if h0(curve, twisted) == h0_value - 1:
-                found = True
-                break
-        if not found:
-            raise VerificationError(
-                "no generic point dropped h0 within the resample budget"
-            )
-        h0_drops += 1
-        if h1_value >= 1:
-            found = False
+        for sign, index, value in checks:
             for _ in range(DROP_RESAMPLES):
-                point = _draw_point(rng, avoid)
-                twisted = twist_by_point(sheaf, point, 1, curve)
+                twisted = twist_by_point(sheaf, _draw_point(rng, avoid), sign, curve)
                 resamples += 1
-                if h1(curve, twisted) == h1_value - 1:
-                    found = True
+                if cohomology(curve, twisted)[index] == value - 1:
                     break
-            if not found:
+            else:
                 raise VerificationError(
-                    "no generic point dropped h1 within the resample budget"
+                    f"no generic point dropped h{index} within the resample budget"
                 )
-            h1_drops += 1
-    return DropReport(trials, h0_drops, h1_drops, resamples)
+    return DropReport(trials, trials, trials if h1_value >= 1 else 0, resamples)
 
 
 @dataclass(frozen=True)
@@ -443,11 +440,7 @@ def _minimal_family(
             velocity = Fraction(rng.choice([c for c in range(-9, 10) if c]))
             trajectory = PowerSeries.univariate({0: point, 1: velocity}, truncation)
             moving.append(MovingPoint(base=point, trajectory=trajectory))
-        gluing_series = {
-            j: PowerSeries.univariate({0: lam}, truncation)
-            for j, lam in sheaf.gluing
-        }
-        return SheafFamily.make(sheaf, truncation, gluing_series, moving)
+        return replace(constant_family(sheaf, truncation), moving=tuple(moving))
     raise PreconditionError(
         "genericity-budget",
         f"no generic divisor of degree {h0_value} found in "
@@ -470,67 +463,65 @@ def _gluing_rows(
     aux: Sequence[Fraction],
     ncols: int,
     truncation: int,
-) -> List[List[PowerSeries]]:
-    """Gluing conditions on sections of the family twisted by E, mod t^(truncation+1).
+) -> IntRows:
+    """Gluing conditions on sections of the family twisted by E, mod
+    t^(truncation+1), as dense int rows over the coefficients of a section.
 
     Row j is s(p_j) - c_j lambda_j(t) prod(p_j - m(t)) / prod(q_j - m(t)) s(q_j)
-    over the moving points m, with c_j the constant cross-ratio factor; it
-    is multiplied through by the unit prod(q_j - m(t)) and by the nonzero
-    constant that clears its denominators, so its coefficients are ints.
-    Neither scaling changes the cokernel or its exponents.
+    over the moving points m, with c_j the constant cross-ratio factor.  It
+    is multiplied through by the unit prod(q_j - m(t)) and by nonzero
+    constants that make its coefficients ints: the denominator of
+    lambda_j(t), for each m one common denominator of q_j - m(t) and
+    p_j - m(t), and those of c_j and of the powers of p_j and q_j
+    (`_node_row`).  No such scaling changes the cokernel or its exponents.
     """
     n = truncation
     moving = [(m.base, [-c for c in m.trajectory.dense()[1: n + 1]]) for m in family.moving]
     rows = []
     for j, lam_series in family.gluing_series:
-        p, q = (exact(x) for x in curve.nodes[j])
-        scalar = Fraction(1)
+        p, q = curve.nodes[j]
+        (right,), lam_scale = clear_denominators([lam_series.dense()[: n + 1]])
+        scalar = Fraction(1, lam_scale)
         for e in aux:
             scalar = scalar * (p - e) / (q - e)
         left = [1] + [0] * n
-        right = lam_series.dense()[: n + 1]
         for base, tail in moving:  # tail: -m(t) above its constant term
             scalar = scalar * (q - base) / (p - base)
-            left = mul_lists(left, [exact(q - base)] + tail, n)
-            right = mul_lists(right, [exact(p - base)] + tail, n)
+            (q_factor, p_factor), _ = clear_denominators([[q - base] + tail, [p - base] + tail])
+            left = mul_lists(left, q_factor, n)
+            right = mul_lists(right, p_factor, n)
         left = [scalar.denominator * a for a in left]
         right = [scalar.numerator * b for b in right]
-        row, p_i, q_i = [], 1, 1
-        for _ in range(ncols):
-            row.append([p_i * a - q_i * b for a, b in zip(left, right)])
-            p_i, q_i = p_i * p, q_i * q
-        rows.append(clear_denominators(row)[0])
-    return [[PowerSeries.univariate(dict(enumerate(e)), n) for e in row] for row in rows]
+        rows.append(_node_row(p, q, left, right, ncols - 1))
+    return rows
 
 
 def _evaluate_sections(
     aux: Sequence[Fraction],
-    rows: List[List[PowerSeries]],
+    rows: IntRows,
     ncols: int,
     truncation: int,
-) -> List[List[PowerSeries]]:
-    """Sections of the family twisted by E, evaluated at the points of E."""
+) -> IntRows:
+    """Sections of the family twisted by E, evaluated at the points of E;
+    each row is scaled to ints, which moves no exponent."""
     g = len(aux)
-    sections = kernel_basis(rows, ncols, truncation)
+    sections = dense_kernel(rows, ncols, truncation)
     if len(sections) != g:
         raise VerificationError(
             f"section module has rank {len(sections)}, expected {g}"
         )
-    sections = [[entry.dense() for entry in section] for section in sections]
     phi = []
     for e in aux:
         powers = [e**i for i in range(ncols)]
-        values = (
+        values = [
             [sum(map(mul, powers, coefficients)) for coefficients in zip(*section)]
             for section in sections
-        )
-        phi.append([PowerSeries.univariate(dict(enumerate(v)), len(v) - 1) for v in values])
+        ]
+        phi.append(clear_denominators(values)[0])
     return phi
 
 
-def _solve_on_ladder(
-    matrix_at: Callable[[int], List[List[PowerSeries]]], n_trunc: int
-) -> FamilyCohomology:
+def _solve_on_ladder(matrix_at: Callable[[int], IntRows], n_trunc: int) -> FamilyCohomology:
     """Diagonalize `matrix_at(w)` at w = 1, 2, 4, ..., N; the first w that resolves.
 
     The matrix mod t^(w+1) is the reduction of the matrix mod t^(N+1), so a
@@ -634,7 +625,7 @@ def family_cohomology(
                 aux.append(point)
 
         rows = _gluing_rows(curve, family, aux, ncols, 0)
-        if rows and rank_dense(constant_matrix(rows)) < len(rows):
+        if rows and rank_dense([[entry[0] for entry in row] for row in rows]) < len(rows):
             last_failure = "rank"
             continue
 

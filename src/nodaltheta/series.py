@@ -21,9 +21,9 @@ where integral and Fractions otherwise.  A shorter list is a lower
 truncation, dividing by t^nu is a slice, `mul_lists` multiplies, `sub_mul`
 computes a - q*b in one product, `invert_list` inverts a unit,
 `clear_denominators` scales a row of them to ints and `pull_back`
-substitutes arcs.  Arc sampling, `substitute`, the Smith
-reduction, the determinant, `kernel_basis` and the curve's gluing rows all
-use it; `PowerSeries.dense` converts at the API boundary.
+substitutes arcs.  Arc sampling, `substitute`, the curve's integer gluing
+rows and the `smith` cores all use it; `PowerSeries.dense` converts at the
+API boundary.
 """
 
 from __future__ import annotations

@@ -1,18 +1,18 @@
 """Linear algebra over the truncated valuation ring Q[t]/(t^(N+1)).
 
-Matrices are lists of lists of univariate series.  Each function converts
-their entries once on entry and runs on the dense list core of `series`,
-with no `PowerSeries` inside its loops; results go back out as series.
-Smith reduction and the determinant scale each row to integers first
-(`_integer_rows`), so their loops make no `Fraction`.  Smith reduction
-pivots on an entry of minimal t-order, which divides every remaining
-entry, eliminates fraction-free as Bareiss does (no pivot is inverted),
-and shrinks the block to its Schur complement, where only the rows a pivot
-updates lose precision.  The sum of the elementary divisor exponents
-equals the t-order of the determinant whenever the determinant does not
-vanish to truncation; `diagonalize` checks one against the other, with the
-determinant computed by Berkowitz's division-free algorithm.
-`kernel_basis` pivots on units and inverts them.
+Matrices are lists of rows of dense entries (`series`): the curve builds
+them with int coefficients (`IntRows`) and hands them to `diagonalize` and
+`dense_kernel` as they are.  `smith_exponents`, `matrix_det` and
+`kernel_basis` take matrices of `PowerSeries`, convert each entry once
+(`_integer_rows` scales each row to ints) and run the same cores.  Smith
+reduction pivots on an entry of minimal t-order, which divides every
+remaining entry, eliminates fraction-free as Bareiss does (no pivot is
+inverted), and shrinks the block to its Schur complement, where only the
+rows a pivot updates lose precision.  The sum of the elementary divisor
+exponents equals the t-order of the determinant whenever the determinant
+does not vanish to truncation; `diagonalize` checks one against the other,
+with the determinant computed by Berkowitz's division-free algorithm.
+The kernel pivots on units and inverts them.
 """
 
 from __future__ import annotations
@@ -25,14 +25,11 @@ from .errors import IndeterminateAtTruncation, PreconditionError, VerificationEr
 from .linalg import rank_dense
 from .series import PowerSeries, clear_denominators, invert_list, mul_lists, sub_mul
 
-Matrix = List[List[PowerSeries]]
+Matrix = List[List[PowerSeries]]  # the series boundary
+IntRows = List[List[List[int]]]  # dense int entries, the curve-side matrix type
 
 
-def constant_matrix(matrix: Matrix) -> List[List]:
-    return [[entry.constant_term() for entry in row] for row in matrix]
-
-
-def _integer_rows(matrix: Matrix) -> Tuple[List[List[list]], List[int]]:
+def _integer_rows(matrix: Matrix) -> Tuple[IntRows, List[int]]:
     """Each row's dense entries scaled to ints (`clear_denominators`), and
     the scales."""
     pairs = [clear_denominators([entry.dense() for entry in row]) for row in matrix]
@@ -67,8 +64,9 @@ def _dot(xs: List[list], ys: List[list], n: int) -> list:
     return total
 
 
-def matrix_det(matrix: Matrix) -> PowerSeries:
-    """Determinant by Berkowitz's division-free algorithm (IPL 18, 1984).
+def _det(rows: IntRows) -> list:
+    """Determinant of square int rows by Berkowitz's division-free algorithm
+    (IPL 18, 1984), known to the lowest truncation among the entries.
 
     The characteristic polynomial det(x I - A) is built over the trailing
     principal submatrices, one row and column at a time: for a block
@@ -77,17 +75,14 @@ def matrix_det(matrix: Matrix) -> PowerSeries:
     coefficients of B's polynomial to the block's.  That is O(n^4) ring
     operations with no division and no pivoting, so it holds over
     Q[t]/(t^(N+1)), zero divisors included, independently of Smith reduction.
-    It runs on the integer rows and divides once by the product of their
-    scales.  The result is known to the lowest truncation among the entries.
     """
-    n = len(matrix)
+    n = len(rows)
     if n == 0:
         raise PreconditionError("matrix", "empty matrix has no determinant here")
-    if any(len(row) != n for row in matrix):
+    if any(len(row) != n for row in rows):
         raise PreconditionError("matrix", "determinant needs a square matrix")
-    work, scales = _integer_rows(matrix)
-    w = min(len(entry) for row in work for entry in row) - 1
-    work = [[entry[: w + 1] for entry in row] for row in work]
+    w = min(len(entry) for row in rows for entry in row) - 1
+    work = [[entry[: w + 1] for entry in row] for row in rows]
     one = [1] + [0] * w
     poly = [one]
     for k in range(n - 1, -1, -1):
@@ -100,25 +95,27 @@ def matrix_det(matrix: Matrix) -> PowerSeries:
                 vector = [_dot(r, vector, w) for r in block]
             toeplitz.append([-c for c in _dot(row, vector, w)])
         poly = [_dot(toeplitz[i::-1], poly[: i + 1], w) for i in range(len(poly) + 1)]
-    scale = prod(scales) * (-1) ** n
-    return _series([Fraction(c, scale) for c in poly[n]], matrix[0][0].variables[0])
+    return poly[n] if n % 2 == 0 else [-c for c in poly[n]]
 
 
-def kernel_basis(matrix: Matrix, ncols: int, truncation: int) -> List[List[PowerSeries]]:
-    """Free basis of the kernel of a matrix whose reduction at t=0 has full row rank.
+def matrix_det(matrix: Matrix) -> PowerSeries:
+    """Determinant of a square series matrix: `_det` on its integer rows,
+    divided once by the product of their scales."""
+    work, scales = _integer_rows(matrix)
+    scale = prod(scales)
+    return _series([Fraction(c, scale) for c in _det(work)], matrix[0][0].variables[0])
+
+
+def dense_kernel(rows: List[List[list]], ncols: int, truncation: int) -> List[List[list]]:
+    """Free basis of the kernel of dense rows whose reduction at t=0 has full row rank.
 
     Row-reduce with unit pivots (every pivot has nonzero constant term, so
     inversion loses no precision); the kernel is then free of rank
-    ncols - nrows with one basis vector per non-pivot column.  Raises if the
-    constant matrix is row-rank deficient.  A matrix with no rows has the
-    full space as kernel.
+    ncols - nrows with one basis vector per non-pivot column, whose own
+    entry is 1 mod t^(truncation+1).  Raises if the constant matrix is
+    row-rank deficient.  A matrix with no rows has the full space as kernel.
     """
-    nrows = len(matrix)
-    for row in matrix:
-        if len(row) != ncols:
-            raise PreconditionError("matrix", "ragged matrix")
-
-    work = [[entry.dense() for entry in row] for row in matrix]
+    work, nrows = list(rows), len(rows)
     pivot_cols: List[int] = []
     for i in range(nrows):
         pivot_col = None
@@ -143,21 +140,28 @@ def kernel_basis(matrix: Matrix, ncols: int, truncation: int) -> List[List[Power
                 work[r] = [sub_mul(a, factor, b) for a, b in zip(work[r], work[i])]
         pivot_cols.append(pivot_col)
 
-    zero = PowerSeries.zero(("t",), truncation)
-    one = PowerSeries.constant(("t",), 1, truncation)
+    zero = [0] * (truncation + 1)
     basis = []
     for j in range(ncols):
         if j in pivot_cols:
             continue
         vector = [zero] * ncols
-        vector[j] = one
+        vector[j] = [1] + zero[1:]
         for i, pc in enumerate(pivot_cols):
-            vector[pc] = _series([-c for c in work[i][j]])
+            vector[pc] = [-c for c in work[i][j]]
         basis.append(vector)
     return basis
 
 
-def smith_exponents(matrix: Matrix) -> List[int]:
+def kernel_basis(matrix: Matrix, ncols: int, truncation: int) -> List[List[PowerSeries]]:
+    """`dense_kernel` of a series matrix, as series vectors."""
+    if any(len(row) != ncols for row in matrix):
+        raise PreconditionError("matrix", "ragged matrix")
+    rows = [[entry.dense() for entry in row] for row in matrix]
+    return [[_series(v) for v in vector] for vector in dense_kernel(rows, ncols, truncation)]
+
+
+def _exponents(work: IntRows) -> List[int]:
     """Elementary divisor exponents, the t-orders of the successive pivots.
 
     Each step takes an entry t^nu u of least t-order (u a unit), clears its
@@ -171,7 +175,6 @@ def smith_exponents(matrix: Matrix) -> List[int]:
     an O(t^(L+1)) update and keeps L.  A block that vanishes to truncation
     leaves the remaining exponents undetermined.
     """
-    work, _ = _integer_rows(matrix)
     exponents: List[int] = []
     while work and work[0]:
         best = None
@@ -196,28 +199,34 @@ def smith_exponents(matrix: Matrix) -> List[int]:
     return exponents
 
 
-def diagonalize(matrix: Matrix, truncation: int) -> Tuple[Tuple[int, ...], int]:
-    """Elementary divisor exponents and corank at t = 0 of a square matrix
-    over Q[t]/(t^(truncation+1)), each computed once and cross-checked.
+def smith_exponents(matrix: Matrix) -> List[int]:
+    """`_exponents` of a series matrix's integer rows."""
+    return _exponents(_integer_rows(matrix)[0])
 
-    Smith reduction runs first.  Its exponents can sum past the truncation
-    while the determinant vanishes there (diag(t^3, t^3) mod t^5 gives
-    [3, 3]), so only a sum <= truncation resolves; then the determinant's
-    t-order must equal that sum, and the corank of the constant matrix the
-    number of positive exponents.  A 0 x 0 matrix has no exponents.
+
+def diagonalize(rows: IntRows, truncation: int) -> Tuple[Tuple[int, ...], int]:
+    """Elementary divisor exponents and corank at t = 0 of a square matrix
+    of dense int rows over Q[t]/(t^(truncation+1)), each computed once and
+    cross-checked.
+
+    Smith reduction runs first, on a copy of the row lists.  Its exponents
+    can sum past the truncation while the determinant vanishes there
+    (diag(t^3, t^3) mod t^5 gives [3, 3]), so only a sum <= truncation
+    resolves; then the determinant's t-order must equal that sum, and the
+    corank of the constant matrix the number of positive exponents.  A
+    0 x 0 matrix has no exponents.
     """
-    exponents = tuple(smith_exponents(matrix))
+    exponents = tuple(_exponents([list(row) for row in rows]))
     order = sum(exponents)
     if order > truncation:
         raise IndeterminateAtTruncation(truncation)
-    if matrix:
-        determinant = matrix_det(matrix)
-        if order != determinant.order():
+    if rows:
+        det_order = _order(_det(rows))
+        if order != det_order:
             raise VerificationError(
-                f"elementary divisors sum to {order} but det has order "
-                f"{determinant.order()}"
+                f"elementary divisors sum to {order} but det has order {det_order}"
             )
-    corank = len(matrix) - rank_dense(constant_matrix(matrix))
+    corank = len(rows) - rank_dense([[entry[0] for entry in row] for row in rows])
     if corank != sum(1 for e in exponents if e >= 1):
         raise VerificationError("corank at t=0 disagrees with positive exponents")
     return exponents, corank

@@ -7,6 +7,7 @@ from nodaltheta.curve import (
     INFINITY,
     RationalNodalCurve,
     TFSheaf,
+    _condition_rows,
     classify_theta_point,
     cohomology,
     general_drop_check,
@@ -113,6 +114,43 @@ class TestCohomology:
             sheaf = sheaf_of(nonfree, g - 1 - size, glue)
             h0_value, h1_value = cohomology(curve, sheaf)
             assert h0_value == h1_value
+
+    def test_integer_condition_rows_match_fraction_rows(self):
+        # rational nodes and gluing; half the sheaves glue along a divisor,
+        # so that a section exists and the rank drops
+        rng = random.Random(43)
+        drops = 0
+        for trial in range(120):
+            g = rng.randint(1, 6)
+            points = set()
+            while len(points) < 2 * g:
+                points.add(Fraction(rng.randint(-30, 30), rng.randint(1, 7)))
+            points = rng.sample(sorted(points), 2 * g)
+            curve = curve_of(*[(points[2 * i], points[2 * i + 1]) for i in range(g)])
+            nonfree = rng.sample(range(g), rng.randint(0, g - 1))
+            d = rng.randint(0, g)
+            # denominator 11: never a node point, so every scalar is nonzero
+            roots = [Fraction(11 * rng.randint(-3, 3) + rng.randint(1, 10), 11) for _ in range(d)]
+            glue = {}
+            for j in range(g):
+                if j in nonfree:
+                    continue
+                p, q = curve.nodes[j]
+                glue[j] = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([-1, 1])
+                if trial % 2:
+                    glue[j] = Fraction(1)
+                    for c in roots:
+                        glue[j] *= (p - c) / (q - c)
+            sheaf = sheaf_of(nonfree, d, glue)
+            rows = _condition_rows(curve, sheaf)
+            fraction_rows = [
+                [p**i - lam * q**i for i in range(d + 1)]
+                for (p, q), lam in ((curve.nodes[j], lam) for j, lam in sheaf.gluing)
+            ]
+            assert all(type(c) is int for row in rows for c in row)
+            assert rank_dense(rows) == rank_dense(fraction_rows)
+            drops += rank_dense(rows) < min(len(rows), d + 1)
+        assert drops >= 20
 
 
 class TestTwist:

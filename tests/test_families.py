@@ -19,7 +19,9 @@ from nodaltheta.curve import (
     theta_invariants,
     verify_theorem_A,
 )
+from nodaltheta import smith
 from nodaltheta.errors import IndeterminateAtTruncation, PreconditionError, VerificationError
+from nodaltheta.linalg import rank_dense
 from nodaltheta.parsing import parse_series
 from nodaltheta.series import PowerSeries, invert_list, mul_lists, sub_mul
 from nodaltheta.smith import (
@@ -41,6 +43,11 @@ def sheaf_of(nonfree, d, glue):
 
 def tser(text, truncation=16):
     return parse_series(text, ("t",), truncation)
+
+
+def int_rows(matrix):
+    """A series matrix as the dense int rows `diagonalize` takes."""
+    return _integer_rows(matrix)[0]
 
 
 G1 = curve_of((0, 1))
@@ -106,10 +113,10 @@ class TestSmith:
         assert smith_exponents(matrix) == [3, 3]
         assert matrix_det(matrix).is_zero()
         with pytest.raises(IndeterminateAtTruncation) as info:
-            diagonalize(matrix, 4)
+            diagonalize(int_rows(matrix), 4)
         assert info.value.truncation == 4
         resolved = [[tser("t^3", 6), tser("0", 6)], [tser("0", 6), tser("t^3", 6)]]
-        assert diagonalize(resolved, 6) == ((3, 3), 2)
+        assert diagonalize(int_rows(resolved), 6) == ((3, 3), 2)
 
     def test_rows_off_the_pivot_column_keep_their_truncation(self):
         # the pivot t touches no other row, so t^4 stays known mod t^5 and
@@ -117,13 +124,24 @@ class TestSmith:
         matrix = [[tser("t", 4), tser("t", 4)], [tser("0", 4), tser("t^4", 4)]]
         assert smith_exponents(matrix) == [1, 4]
         with pytest.raises(IndeterminateAtTruncation):
-            diagonalize(matrix, 4)
+            diagonalize(int_rows(matrix), 4)
 
     def test_diagonalize_reports_corank_at_zero(self):
         matrix = [[tser("t", 8), tser("t", 8)], [tser("t", 8), tser("t + t^3", 8)]]
-        assert diagonalize(matrix, 8) == ((1, 3), 2)
-        assert diagonalize([[tser("2 + t", 8)]], 8) == ((0,), 0)
+        assert diagonalize(int_rows(matrix), 8) == ((1, 3), 2)
+        assert diagonalize(int_rows([[tser("2 + t", 8)]]), 8) == ((0,), 0)
         assert diagonalize([], 8) == ((), 0)
+
+    def test_diagonalize_rejects_exponents_it_cannot_confirm(self, monkeypatch):
+        # a Smith reduction that reports a wrong order is caught by the
+        # determinant's t-order, and a wrong split of it by the corank at 0
+        matrix = int_rows([[tser("t", 8), tser("t", 8)], [tser("t", 8), tser("t + t^3", 8)]])
+        monkeypatch.setattr(smith, "_exponents", lambda work: [1, 2])
+        with pytest.raises(VerificationError, match="det has order 4"):
+            diagonalize(matrix, 8)
+        monkeypatch.setattr(smith, "_exponents", lambda work: [0, 4])
+        with pytest.raises(VerificationError, match="corank"):
+            diagonalize(matrix, 8)
 
     def test_kernel_basis_claims_no_more_than_its_entries_know(self):
         # 1/(1+t) is known mod t^3 only, so the kernel vector is too
@@ -290,6 +308,28 @@ class TestFractionFreeSmith:
             outcomes.add("indeterminate" if expected[0] == "indeterminate" else sum(expected) > 0)
         assert outcomes == {"indeterminate", True, False}
 
+    def test_diagonalize_on_int_rows_matches_the_series_boundary(self):
+        rng = random.Random(74)
+        outcomes = set()
+        for trial in range(200):
+            size = 1 + trial % 4
+            matrix = self._matrix(rng, size, size)
+            truncation = min(entry.truncation for row in matrix for entry in row)
+            try:
+                exponents, corank = diagonalize(int_rows(matrix), truncation)
+            except IndeterminateAtTruncation:
+                # Smith stops short, or its exponents sum past the truncation
+                bound = smith_or_bound(matrix)
+                assert bound[0] == "indeterminate" or sum(bound) > truncation
+                outcomes.add("indeterminate")
+                continue
+            assert list(exponents) == smith_exponents(matrix)
+            assert matrix_det(matrix).order() == sum(exponents)
+            constant = [[entry.constant_term() for entry in row] for row in matrix]
+            assert corank == size - rank_dense(constant)
+            outcomes.add(sum(exponents) > 0)
+        assert outcomes == {"indeterminate", True, False}
+
     def test_row_scaling_moves_no_exponent(self):
         rng = random.Random(72)
         for trial in range(120):
@@ -316,8 +356,10 @@ class TestFractionFreeSmith:
                     entry.dense() for entry in series_row
                 ]
 
-    def test_gluing_rows_are_integral(self):
-        # rational nodes, a rational gluing series and a moving point
+    @staticmethod
+    def _rational_family():
+        # rational nodes, a rational gluing series and a moving point whose
+        # two factors q_j - m(t) and p_j - m(t) have different denominators
         curve = curve_of((Fraction(1, 2), Fraction(7, 3)), (-2, Fraction(5, 4)), (3, 4))
         sheaf = sheaf_of([], 1, {0: Fraction(2, 3), 1: -1, 2: Fraction(5, 7)})
         gluing = {
@@ -327,13 +369,60 @@ class TestFractionFreeSmith:
         }
         point = Fraction(-7, 2)
         moving = [MovingPoint(point, PowerSeries.univariate({0: point, 1: Fraction(1, 3)}, 6))]
-        family = SheafFamily.make(sheaf, 6, gluing, moving)
-        for aux in ([], [Fraction(11, 5), Fraction(-1, 6), 9]):
+        return curve, SheafFamily.make(sheaf, 6, gluing, moving)
+
+    AUX = ([], [Fraction(11, 5), Fraction(-1, 6), 9])
+
+    def test_gluing_rows_are_integral(self):
+        curve, family = self._rational_family()
+        for aux in self.AUX:
             rows = _gluing_rows(curve, family, aux, 2 + len(aux), 6)
             assert all(
-                c.denominator == 1 for row in rows for entry in row
-                for c in entry.coefficients.values()
+                type(row) is list and type(entry) is list and type(c) is int
+                for row in rows for entry in row for c in entry
             )
+            assert all(
+                c.denominator == 1 for row in rows for entry in row for c in entry
+            )
+
+    def test_gluing_rows_are_scaled_conditions(self):
+        # each int row is a nonzero constant times the row built from the
+        # definition on series, so its cokernel is the family's
+        curve, family = self._rational_family()
+        for aux in self.AUX:
+            for n in (0, 3, 6):
+                rows = _gluing_rows(curve, family, aux, 2 + len(aux), n)
+                expected = gluing_rows_by_series(curve, family, aux, 2 + len(aux), n)
+                for row, series_row in zip(rows, expected):
+                    assert [len(entry) for entry in row] == [n + 1] * len(row)
+                    assert proportional(row, series_row)
+
+
+def gluing_rows_by_series(curve, family, aux, ncols, n):
+    """Row j of the gluing matrix from its definition, on series:
+    s(p_j) prod(q_j - m(t)) - c_j lambda_j(t) prod(p_j - m(t)) s(q_j)."""
+    rows = []
+    for j, lam in family.gluing_series:
+        p, q = curve.nodes[j]
+        c = Fraction(1)
+        for e in aux:
+            c *= (p - e) / (q - e)
+        left = PowerSeries.constant(("t",), 1, n)
+        right = lam.truncate(n)
+        for m in family.moving:
+            c *= (q - m.base) / (p - m.base)
+            trajectory = m.trajectory.truncate(n)
+            left = left * (PowerSeries.constant(("t",), q, n) - trajectory)
+            right = right * (PowerSeries.constant(("t",), p, n) - trajectory)
+        rows.append([left.scale(p**i) - right.scale(c * q**i) for i in range(ncols)])
+    return rows
+
+
+def proportional(int_row, series_row):
+    """Whether a dense int row is a nonzero constant times a series row."""
+    pairs = [(a, b) for x, y in zip(int_row, series_row) for a, b in zip(x, y.dense())]
+    ratio = next((Fraction(a, 1) / b for a, b in pairs if b), None)
+    return bool(ratio) and all(a == ratio * b for a, b in pairs)
 
 
 def subset_expansion_det(matrix):
