@@ -29,28 +29,22 @@ from .multiplicity import (
     model_ringspec,
     mult_divisor_branchsum,
     mult_model,
-    ord_at_origin,
 )
 from .arcs import (
     Arc,
     ArcInsideDivisor,
     ArcSampleReport,
-    GeneralArc,
     MinimalArc,
     ZArcNotFound,
     arc_contact,
-    general_arc_contact,
     make_arc,
     make_general_arc,
     minimal_arc,
     minimal_arc_through_Z,
-    parametrization_from_powers,
     sample_arcs_check,
     sample_parametrized_arcs_check,
 )
 from .curve import (
-    INFINITY,
-    Classification,
     FamilyCohomology,
     MovingPoint,
     RationalNodalCurve,
@@ -58,14 +52,12 @@ from .curve import (
     TFSheaf,
     ThetaReport,
     TheoremAReport,
-    classify_theta_point,
     cohomology,
     constant_family,
     family_cohomology,
     family_contact,
     general_drop_check,
     h0,
-    h1,
     make_minimal_family,
     theta_invariants,
     twist_by_point,
@@ -80,12 +72,9 @@ __all__ = [
     "ArcSampleReport",
     "BranchOrder",
     "BranchSum",
-    "Classification",
     "FamilyCohomology",
-    "GeneralArc",
     "HilbertSamuelTable",
     "INFINITE",
-    "INFINITY",
     "IndeterminateAtTruncation",
     "LeadingForm",
     "LocalModel",
@@ -106,15 +95,12 @@ __all__ = [
     "branch_orders",
     "branch_project",
     "check_eqnmat",
-    "classify_theta_point",
     "cohomology",
     "constant_family",
     "family_cohomology",
     "family_contact",
-    "general_arc_contact",
     "general_drop_check",
     "h0",
-    "h1",
     "hilbert_samuel",
     "make_arc",
     "make_general_arc",
@@ -124,8 +110,6 @@ __all__ = [
     "model_ringspec",
     "mult_divisor_branchsum",
     "mult_model",
-    "ord_at_origin",
-    "parametrization_from_powers",
     "parse_series",
     "reduce",
     "sample_arcs_check",

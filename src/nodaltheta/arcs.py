@@ -7,8 +7,11 @@ the pulled-back equation; an arc lying inside the divisor (zero pull-back to
 truncation) is a distinguished outcome, not an exception, since sampling
 must be able to skip it while direct queries report it.
 
-Arbitrary rings get arcs only through user parametrizations: there is no
-general arc-lifting solver here.
+One type, `Arc`, holds an arc on any ring: its images and truncation.
+`make_arc` validates one on a standard model and `make_general_arc` on a
+`RingSpec`; `arc_contact` reads the contact of a divisor series along either.
+Arbitrary rings get arcs only through given images or user
+parametrizations: there is no general arc-lifting solver here.
 
 Sampling runs in one loop on dense coefficient lists (`series.pull_back`),
 with the divisor compiled once per call, denominators cleared.  Coefficient
@@ -68,20 +71,8 @@ Contact = Union[int, ArcInsideDivisor]
 
 @dataclass(frozen=True)
 class Arc:
-    model: LocalModel
-    images: Mapping[str, PowerSeries]
-    truncation: int
+    """Images of the ring's variables in k[[t]]/(t^(truncation+1))."""
 
-    def restricted(self, truncation: int) -> "Arc":
-        if truncation > self.truncation:
-            raise PreconditionError("truncation", "cannot extend an arc")
-        images = {v: s.truncate(truncation) for v, s in self.images.items()}
-        return Arc(self.model, images, truncation)
-
-
-@dataclass(frozen=True)
-class GeneralArc:
-    spec: RingSpec
     images: Mapping[str, PowerSeries]
     truncation: int
 
@@ -95,21 +86,18 @@ def _validate_images(variables, images, truncation) -> Dict[str, PowerSeries]:
         if name not in images:
             raise PreconditionError("arc", f"missing image for variable {name!r}")
         image = images[name]
-        series = isinstance(image, PowerSeries)
-        if series and not image.is_univariate():
+        if not image.is_univariate():
             raise PreconditionError("arc", f"image of {name!r} is not univariate")
-        constant = image.constant_term() if series else (image[0] if image else 0)
-        if constant != 0:
+        if image.constant_term() != 0:
             raise PreconditionError(
                 "arc", f"image of {name!r} has a nonzero constant term"
             )
-        known = image.truncation if series else len(image) - 1
-        if known < truncation:
+        if image.truncation < truncation:
             raise PreconditionError(
                 "arc",
-                f"image of {name!r} known only to degree {known} < {truncation}",
+                f"image of {name!r} known only to degree {image.truncation} < {truncation}",
             )
-        clean[name] = image.truncate(truncation) if series else image[: truncation + 1]
+        clean[name] = image.truncate(truncation)
     return clean
 
 
@@ -128,12 +116,12 @@ def make_arc(
                 "node-constraint",
                 f"both {u} and {v} have nonzero images; their product must be 0",
             )
-    return Arc(model, clean, truncation)
+    return Arc(clean, truncation)
 
 
 def make_general_arc(
     spec: RingSpec, images: Mapping[str, PowerSeries], truncation: int
-) -> GeneralArc:
+) -> Arc:
     """Validate arc data on an arbitrary ring: every relation must pull back to 0."""
     clean = _validate_images(spec.variables, images, truncation)
     for relation in spec.relations:
@@ -143,28 +131,18 @@ def make_general_arc(
                 "relation-violated",
                 f"relation {relation} does not vanish along the arc",
             )
-    return GeneralArc(spec, clean, truncation)
+    return Arc(clean, truncation)
 
 
-def _contact(divisor: PowerSeries, images, truncation: int) -> Contact:
+def arc_contact(arc: Arc, divisor: PowerSeries) -> Contact:
+    """t-order of the divisor equation pulled back along the arc."""
     if divisor.is_zero():
         raise PreconditionError("zero-series", "divisor equation is zero")
-    pulled = divisor.substitute(images, truncation)
+    pulled = divisor.substitute(arc.images, arc.truncation)
     order = pulled.order()
     if order is INFINITE:
         return ArcInsideDivisor(at_least=pulled.truncation + 1)
     return order
-
-
-def arc_contact(arc: Arc, element: ModelElement) -> Contact:
-    """t-order of the divisor equation pulled back along the arc."""
-    if element.model != arc.model:
-        raise PreconditionError("model-mismatch", "arc and element live on different models")
-    return _contact(element.series, arc.images, arc.truncation)
-
-
-def general_arc_contact(arc: GeneralArc, divisor: PowerSeries) -> Contact:
-    return _contact(divisor, arc.images, arc.truncation)
 
 
 @dataclass(frozen=True)
@@ -260,7 +238,7 @@ def minimal_arc(element: ModelElement, truncation: int, seed: int) -> MinimalArc
             "truncation too small or element vanishes on the branch",
         )
     arc = _linear_arc(element.model, direction, truncation)
-    contact = arc_contact(arc, element)
+    contact = arc_contact(arc, element.series)
     if contact != order:
         raise VerificationError(
             f"minimal arc contact {contact} differs from order {order}"
@@ -290,7 +268,7 @@ def minimal_arc_through_Z(
     if direction is None:
         raise PreconditionError("arc-search", "no generic direction on Z found")
     arc = _linear_arc(model, direction, truncation)
-    contact = arc_contact(arc, element)
+    contact = arc_contact(arc, element.series)
     if contact != order:
         raise VerificationError(
             f"Z-arc contact {contact} differs from order {order}"
@@ -406,24 +384,6 @@ def sample_arcs_check(
     return _sample(draw, names, element.series, order, count, truncation, seed)
 
 
-@dataclass(frozen=True)
-class Parametrization:
-    """Listed variables as series in one auxiliary s; the rest drawn freely."""
-
-    spec: RingSpec
-    powers: Mapping[str, PowerSeries]
-
-
-def parametrization_from_powers(
-    spec: RingSpec, powers: Mapping[str, PowerSeries]
-) -> Parametrization:
-    """With the cuspidal pattern x = s^2, y = s^3 every arc satisfies y^2 = x^3."""
-    for name in powers:
-        if name not in spec.variables:
-            raise PreconditionError("parametrize", f"unknown variable {name!r}")
-    return Parametrization(spec, dict(powers))
-
-
 def _compose(series: PowerSeries, images, formal, truncation: int) -> PowerSeries:
     """`series` with each variable replaced by its image over `formal`, to
     total degree min(truncation, series.truncation)."""
@@ -444,21 +404,25 @@ def _compose(series: PowerSeries, images, formal, truncation: int) -> PowerSerie
 def sample_parametrized_arcs_check(
     spec: RingSpec,
     divisor: PowerSeries,
-    parametrization: Parametrization,
+    powers: Mapping[str, PowerSeries],
     count: int,
     truncation: int,
     seed: int,
 ) -> ArcSampleReport:
-    """Sampling check through a parametrization, its images validated once as
+    """Sampling check through a parametrization: variables in `powers` map
+    to those series in s (x = s^2, y = s^3 puts every arc on y^2 = x^3), the
+    others are drawn freely.  The images are validated once, as
     `make_general_arc` validates them.  Images of the formal variables
     (aux, *unlisted) have zero constant term, so a series composed to total
     degree n is its pull-back to t^n along every arc: one composition checks
     a relation, and an arc is the drawn lists [s, w_1, ...]."""
+    for name in powers:
+        if name not in spec.variables:
+            raise PreconditionError("parametrize", f"unknown variable {name!r}")
     order = divisor.order()
     if order is INFINITE:
         raise PreconditionError("zero-series", "divisor equation is zero")
     _check_request(count, truncation)
-    powers = parametrization.powers
     clean = _validate_images([v for v in spec.variables if v in powers], powers, truncation)
     aux = "s"
     while aux in spec.variables:

@@ -37,23 +37,19 @@ from typing import Dict, Optional
 from .arcs import (
     ArcInsideDivisor,
     arc_contact,
-    general_arc_contact,
     make_arc,
     make_general_arc,
     minimal_arc,
     minimal_arc_through_Z,
-    parametrization_from_powers,
     sample_arcs_check,
     sample_parametrized_arcs_check,
     ZArcNotFound,
 )
 from .curve import (
-    INFINITY,
     MovingPoint,
     RationalNodalCurve,
     SheafFamily,
     TFSheaf,
-    classify_theta_point,
     cohomology,
     family_cohomology,
     make_minimal_family,
@@ -67,7 +63,6 @@ from .multiplicity import (
     check_eqnmat,
     hilbert_samuel,
     model_ringspec,
-    ord_at_origin,
 )
 from .parsing import parse_series
 from .series import DEFAULT_TRUNCATION, INFINITE, PowerSeries
@@ -196,9 +191,12 @@ def parse_model_flag(text: str) -> LocalModel:
     return LocalModel(values.get("n", 0), values.get("m", 0))
 
 
-def _point(value):
+def _point(value) -> Fraction:
     if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
-        return INFINITY
+        raise PreconditionError(
+            "normalize-infinity",
+            "node at infinity: change coordinates before sheaf operations",
+        )
     return rational_from_json(value)
 
 
@@ -322,7 +320,7 @@ def cmd_mult(args) -> dict:
 
 def cmd_ord(args) -> dict:
     element = _element(args, args.truncation)
-    return {"ord": order_to_json(ord_at_origin(element))}
+    return {"ord": order_to_json(element.order())}
 
 
 def cmd_hs(args) -> dict:
@@ -373,10 +371,11 @@ def cmd_arc(args) -> dict:
     images = load_images(args.images, truncation)
     if args.vars:
         spec = build_ringspec(args, working)
-        contact = general_arc_contact(make_general_arc(spec, images, truncation), spec.divisor)
+        arc, divisor = make_general_arc(spec, images, truncation), spec.divisor
     else:
         element = _element(args, working)
-        contact = arc_contact(make_arc(element.model, images, truncation), element)
+        arc, divisor = make_arc(element.model, images, truncation), element.series
+    contact = arc_contact(arc, divisor)
     if isinstance(contact, ArcInsideDivisor):
         return {"contact": "ArcInsideDivisor", "atLeast": contact.at_least, "N": truncation}
     return {"contact": contact, "N": truncation}
@@ -396,9 +395,8 @@ def cmd_arcs_sample(args) -> dict:
                         "parametrize", f"bad parametrization component {piece!r}"
                     )
                 powers[name.strip()] = parse_series(expr, ("s",), truncation)
-        hook = parametrization_from_powers(spec, powers)
         report = sample_parametrized_arcs_check(
-            spec, spec.divisor, hook, args.count, truncation, args.seed
+            spec, spec.divisor, powers, args.count, truncation, args.seed
         )
     else:
         element = _element(args, working)
@@ -452,7 +450,7 @@ def cmd_theta(args) -> dict:
 def cmd_classify(args) -> dict:
     curve = load_curve(args.curve)
     sheaf = load_sheaf(args.sheaf)
-    result = classify_theta_point(curve, sheaf)
+    result = theta_invariants(curve, sheaf)
     return {
         "onTheta": result.on_theta,
         "inW1": result.in_w1,

@@ -1,20 +1,23 @@
 """Rational nodal curves, torsion-free sheaves, and theta-divisor invariants.
 
-A curve of genus g is the projective line with g pairs of points glued into
-nodes.  A rank-1 torsion-free sheaf is the pushforward of a line bundle from
-the partial normalization at a subset S of nodes; it is described by S, the
-degree of the line bundle, and one nonzero gluing scalar per remaining node.
-Sections are identified with polynomials of degree <= dL satisfying
-s(p_j) = lambda_j * s(q_j) at each glued node, so all cohomology is exact
-linear algebra over Q.
+A curve of genus g is the projective line with g pairs of rational points
+glued into nodes (a node at infinity is first moved by a change of
+coordinates).  A rank-1 torsion-free sheaf is the pushforward of a line
+bundle from the partial normalization at a subset S of nodes; it is
+described by S, the degree of the line bundle, and one nonzero gluing
+scalar per remaining node.  Sections are identified with polynomials of
+degree <= dL satisfying s(p_j) = lambda_j * s(q_j) at each glued node, so
+all cohomology is exact linear algebra over Q.  `theta_invariants` states
+what is known at a point of theta, its classification included, in one
+`ThetaReport`.
 
 One-parameter locally trivial families deform only the gluing scalars and
 the positions of twist points.  Restricting the theta divisor to such a
 family reduces to a square gluing matrix over Q[t]/(t^(N+1)) whose
 elementary divisor exponents sum to the order of contact with theta
 (`family_contact`).  `family_cohomology` reaches the same exponents through
-an auxiliary divisor and an evaluation matrix, following the paper's proof;
-it is kept as an independent oracle.
+an auxiliary divisor, drawn once, and an evaluation matrix, following the
+paper's proof; it is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -32,33 +35,13 @@ from .smith import IntRows, dense_kernel, diagonalize
 
 DROP_RESAMPLES = 5  # random points tried per twist in `general_drop_check`
 MINIMAL_FAMILY_BUDGET = 80  # divisor draws in `make_minimal_family`
-AUX_BUDGET = 40  # auxiliary-divisor draws in `family_cohomology`
-
-
-class InfinitePoint:
-    """The point at infinity on the projective line; excluded from sheaf ops."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinity"
-
-
-INFINITY = InfinitePoint()
-
-Point = Union[Fraction, InfinitePoint]
 
 
 @dataclass(frozen=True)
 class RationalNodalCurve:
     """g pairs of distinct points on the line, glued pairwise into nodes."""
 
-    nodes: Tuple[Tuple[Point, Point], ...]
+    nodes: Tuple[Tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
         if len(self.nodes) < 1:
@@ -71,15 +54,8 @@ class RationalNodalCurve:
     def genus(self) -> int:
         return len(self.nodes)
 
-    def node_points(self) -> List[Point]:
+    def node_points(self) -> List[Fraction]:
         return [p for pair in self.nodes for p in pair]
-
-    def require_finite(self):
-        if any(isinstance(p, InfinitePoint) for p in self.node_points()):
-            raise PreconditionError(
-                "normalize-infinity",
-                "node at infinity: change coordinates before sheaf operations",
-            )
 
 
 @dataclass(frozen=True)
@@ -155,7 +131,6 @@ def cohomology(curve: RationalNodalCurve, sheaf: TFSheaf) -> Tuple[int, int]:
     the conditions plus the first cohomology of the underlying line bundle
     on the normalization.
     """
-    curve.require_finite()
     sheaf.validate_for(curve)
     d = sheaf.line_degree
     conditions = curve.genus - sheaf.nonfree_count
@@ -176,10 +151,6 @@ def cohomology(curve: RationalNodalCurve, sheaf: TFSheaf) -> Tuple[int, int]:
 
 def h0(curve: RationalNodalCurve, sheaf: TFSheaf) -> int:
     return cohomology(curve, sheaf)[0]
-
-
-def h1(curve: RationalNodalCurve, sheaf: TFSheaf) -> int:
-    return cohomology(curve, sheaf)[1]
 
 
 def twist_by_point(sheaf: TFSheaf, point: Fraction, sign: int, curve: RationalNodalCurve) -> TFSheaf:
@@ -207,6 +178,15 @@ def _draw_point(rng: random.Random, avoid: set) -> Fraction:
         value = Fraction(rng.randint(-60, 60), rng.randint(1, 6))
         if value not in avoid:
             return value
+
+
+def _draw_points(rng: random.Random, avoid: set, count: int) -> List[Fraction]:
+    """`count` distinct points from `_draw_point`, none of them in `avoid`."""
+    seen, points = set(avoid), []
+    for _ in range(count):
+        points.append(_draw_point(rng, seen))
+        seen.add(points[-1])
+    return points
 
 
 @dataclass(frozen=True)
@@ -252,32 +232,6 @@ def general_drop_check(
 
 
 @dataclass(frozen=True)
-class Classification:
-    on_theta: bool
-    in_w1: bool
-    in_boundary: bool
-    singular: bool
-
-
-def classify_theta_point(curve: RationalNodalCurve, sheaf: TFSheaf) -> Classification:
-    """Theta-point classification: the singular locus is W1 union the boundary."""
-    _require_theta_degree(curve, sheaf)
-    return _classification(sheaf, cohomology(curve, sheaf)[0])
-
-
-def _classification(sheaf: TFSheaf, h0_value: int) -> Classification:
-    on_theta = h0_value >= 1
-    in_w1 = h0_value >= 2
-    in_boundary = bool(sheaf.nonfree) and on_theta
-    return Classification(
-        on_theta=on_theta,
-        in_w1=in_w1,
-        in_boundary=in_boundary,
-        singular=on_theta and (in_w1 or in_boundary),
-    )
-
-
-@dataclass(frozen=True)
 class ThetaReport:
     n: int
     h0: int
@@ -287,6 +241,8 @@ class ThetaReport:
     mult_theta: int
     on_theta: bool
     singular: bool
+    in_w1: bool
+    in_boundary: bool
     exponents: Optional[Tuple[int, ...]] = None
 
 
@@ -304,6 +260,8 @@ def theta_invariants(curve: RationalNodalCurve, sheaf: TFSheaf) -> ThetaReport:
 
     The order equals h0, the ambient multiplicity is 2^n for a sheaf failing
     to be locally free at n nodes, and the theta multiplicity is the product.
+    The point is singular on theta when it lies in W1 (h0 >= 2) or in the
+    boundary (on theta and not locally free).
     """
     _require_theta_degree(curve, sheaf)
     return _theta_report(sheaf, *cohomology(curve, sheaf))
@@ -313,7 +271,9 @@ def _theta_report(sheaf: TFSheaf, h0_value: int, h1_value: int) -> ThetaReport:
     if h0_value != h1_value:
         raise VerificationError("degree g-1 sheaf must have h0 = h1")
     n = sheaf.nonfree_count
-    classification = _classification(sheaf, h0_value)
+    on_theta = h0_value >= 1
+    in_w1 = h0_value >= 2
+    in_boundary = n > 0 and on_theta
     return ThetaReport(
         n=n,
         h0=h0_value,
@@ -321,8 +281,10 @@ def _theta_report(sheaf: TFSheaf, h0_value: int, h1_value: int) -> ThetaReport:
         ord=h0_value,
         mult_jacobian=2**n,
         mult_theta=2**n * h0_value,
-        on_theta=classification.on_theta,
-        singular=classification.singular,
+        on_theta=on_theta,
+        singular=in_w1 or in_boundary,
+        in_w1=in_w1,
+        in_boundary=in_boundary,
     )
 
 
@@ -422,12 +384,7 @@ def _minimal_family(
     rng = random.Random(seed)
     avoid = set(curve.node_points())
     for _ in range(MINIMAL_FAMILY_BUDGET):
-        points = []
-        seen = set(avoid)
-        for _ in range(h0_value):
-            point = _draw_point(rng, seen)
-            seen.add(point)
-            points.append(point)
+        points = _draw_points(rng, avoid, h0_value)
         down = sheaf
         up = sheaf
         for point in points:
@@ -540,7 +497,6 @@ def _solve_on_ladder(matrix_at: Callable[[int], IntRows], n_trunc: int) -> Famil
 
 
 def _require_family(curve: RationalNodalCurve, family: SheafFamily):
-    curve.require_finite()
     family.validate_for(curve)
     _require_theta_degree(curve, family.sheaf)
 
@@ -585,8 +541,11 @@ def family_cohomology(
     divisor exponents, equivalently the t-order of its determinant.  This is
     the independent oracle of `family_contact`.
 
-    E is drawn from the seed and re-drawn on degeneracy; `aux_points` pins
-    it instead (no redraws).  Whether E is degenerate depends only on t = 0.
+    E is drawn once from the seed, or pinned by `aux_points`: no g distinct
+    points away from the nodes and moving points fail.  At t = 0 the twisted
+    sheaf has degree 2g-1-n > 2(g-n)-2 on the partial normalization at its n
+    nonfree nodes, of arithmetic genus g-n, so h1 = 0 and its g-n gluing
+    rows have full rank; `dense_kernel` still checks that rank.
 
     The family is solved at working truncations w = 1, 2, 4, ..., N (the
     family's truncation) and the first w that resolves is returned, with
@@ -598,49 +557,22 @@ def family_cohomology(
     _require_family(curve, family)
     g = curve.genus
     ncols = family.sheaf.line_degree + g + 1
-    rng = random.Random(seed)
     avoid = set(curve.node_points()) | {m.base for m in family.moving}
-    if aux_points is not None:
-        fixed = [Fraction(p) for p in aux_points]
-        if len(fixed) != g or len(set(fixed)) != g or avoid & set(fixed):
+    if aux_points is None:
+        aux = _draw_points(random.Random(seed), avoid, g)
+    else:
+        aux = [Fraction(p) for p in aux_points]
+        if len(aux) != g or len(set(aux)) != g or avoid & set(aux):
             raise PreconditionError(
                 "aux-divisor", f"need {g} distinct smooth points away from the data"
             )
-
-    last_failure = None
-    for attempt in range(AUX_BUDGET):
-        if aux_points is not None:
-            if attempt > 0:
-                raise PreconditionError(
-                    "aux-divisor-degenerate",
-                    "pinned auxiliary divisor leaves first cohomology nonvanishing",
-                )
-            aux = list(fixed)
-        else:
-            aux = []
-            seen = set(avoid)
-            for _ in range(g):
-                point = _draw_point(rng, seen)
-                seen.add(point)
-                aux.append(point)
-
-        rows = _gluing_rows(curve, family, aux, ncols, 0)
-        if rows and rank_dense([[entry[0] for entry in row] for row in rows]) < len(rows):
-            last_failure = "rank"
-            continue
-
-        result = _solve_on_ladder(
-            lambda w: _evaluate_sections(
-                aux, _gluing_rows(curve, family, aux, ncols, w), ncols, w
-            ),
-            family.truncation,
-        )
-        return replace(result, aux_points=tuple(aux))
-    raise PreconditionError(
-        "aux-divisor-degenerate",
-        f"no auxiliary divisor with vanishing h1 found in {AUX_BUDGET} draws "
-        f"(last failure: {last_failure})",
+    result = _solve_on_ladder(
+        lambda w: _evaluate_sections(
+            aux, _gluing_rows(curve, family, aux, ncols, w), ncols, w
+        ),
+        family.truncation,
     )
+    return replace(result, aux_points=tuple(aux))
 
 
 def random_gluing_family(

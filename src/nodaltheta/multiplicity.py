@@ -18,14 +18,14 @@ The closed form for the standard model itself is 2^n.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import ge, mul
 from typing import List, Optional, Tuple
 
 from .errors import PreconditionError
 from .linalg import pivot_columns, primitive
 from .localmodel import BranchOrder, LocalModel, ModelElement, branch_orders
-from .series import DEFAULT_TRUNCATION, INFINITE, Order, PowerSeries
+from .series import DEFAULT_TRUNCATION, INFINITE, PowerSeries
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,6 @@ def model_ringspec(model: LocalModel, divisor: Optional[PowerSeries] = None) -> 
     return RingSpec(variables, tuple(relations), divisor)
 
 
-def ord_at_origin(element: ModelElement) -> Order:
-    """Order of vanishing at the closed point: the order of the normal form."""
-    return element.series.order()
-
-
 @dataclass(frozen=True)
 class BranchSum:
     total: int
@@ -108,11 +103,10 @@ def mult_model(model: LocalModel) -> int:
 @dataclass
 class HilbertSamuelTable:
     values: List[int]
-    differences: List[List[int]]
     dimension: Optional[int]
     multiplicity: Optional[int]
     stabilized: bool
-    t_max: int = field(default=0)
+    t_max: int
 
 
 # Most columns (standard monomials) `hilbert_samuel` enumerates before it
@@ -227,7 +221,6 @@ def hilbert_samuel(spec: RingSpec, t_max: int = 10) -> HilbertSamuelTable:
             break
     return HilbertSamuelTable(
         values=values,
-        differences=differences[1:],
         dimension=dimension,
         multiplicity=multiplicity,
         stabilized=dimension is not None,
@@ -253,7 +246,7 @@ def check_eqnmat(element: ModelElement) -> InequalityReport:
     """
     branch = mult_divisor_branchsum(element)
     ambient = mult_model(element.model)
-    order = ord_at_origin(element)
+    order = element.order()
     assert order is not INFINITE
     return InequalityReport(
         mult_divisor=branch.total,

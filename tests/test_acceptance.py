@@ -14,10 +14,9 @@ from fractions import Fraction
 import pytest
 
 from nodaltheta.arcs import (
+    arc_contact,
     make_general_arc,
-    general_arc_contact,
     minimal_arc,
-    parametrization_from_powers,
     sample_arcs_check,
     sample_parametrized_arcs_check,
 )
@@ -25,11 +24,11 @@ from nodaltheta.curve import (
     RationalNodalCurve,
     SheafFamily,
     TFSheaf,
-    classify_theta_point,
     cohomology,
     constant_family,
     family_cohomology,
     h0,
+    theta_invariants,
     twist_by_point,
     verify_theorem_A,
 )
@@ -97,11 +96,8 @@ def test_criterion_2_cusp_arc_obstruction():
         assert table.dimension == 1
         assert divisor.order() == 1
 
-        hook = parametrization_from_powers(
-            cut,
-            {"x": parse_series("s^2", ("s",), 16), "y": parse_series("s^3", ("s",), 16)},
-        )
-        report = sample_parametrized_arcs_check(cut, divisor, hook, 100, 16, seed=0)
+        powers = {"x": parse_series("s^2", ("s",), 16), "y": parse_series("s^3", ("s",), 16)}
+        report = sample_parametrized_arcs_check(cut, divisor, powers, 100, 16, seed=0)
         assert report.min_contact == 2, "an arc achieved contact below 2"
         witness = make_general_arc(
             cut,
@@ -112,7 +108,7 @@ def test_criterion_2_cusp_arc_obstruction():
             },
             16,
         )
-        assert general_arc_contact(witness, divisor) == 2
+        assert arc_contact(witness, divisor) == 2
 
 
 def test_criterion_3_model_multiplicity_grid():
@@ -319,7 +315,7 @@ def test_criterion_9_singular_locus_classification():
         )
         for curve, sheaf, h0_expected, on_theta, in_w1, in_boundary, singular in table:
             assert h0(curve, sheaf) == h0_expected
-            result = classify_theta_point(curve, sheaf)
+            result = theta_invariants(curve, sheaf)
             assert result.on_theta == on_theta
             assert result.in_w1 == in_w1
             assert result.in_boundary == in_boundary

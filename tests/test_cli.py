@@ -121,6 +121,27 @@ class TestReports:
         payload = json.loads(out)
         assert payload["mult_D"] == 3 and payload["per_branch"] == [2, 1]
 
+    @pytest.mark.parametrize(
+        "images, expected",
+        [
+            ('{"x":"t^2","y":"t^3","z":"0"}', '{"N":8,"contact":2}'),
+            ('{"x":"0","y":"0","z":"0"}', '{"N":8,"atLeast":9,"contact":"ArcInsideDivisor"}'),
+        ],
+    )
+    def test_arc_on_a_quotient_ring(self, capsys, images, expected):
+        code, out, _ = run(
+            capsys,
+            ["arc", "--vars", "x,y,z", "--rel", "y^2-x^3", "--f", "x-z^3",
+             "--images", images, "--N", "8"],
+        )
+        assert (code, out) == (0, expected + "\n")
+
+    def test_through_z_arc_not_found(self, capsys):
+        code, out, _ = run(
+            capsys, ["arc", "--model", "n=1,m=1", "--f", "u1 + w1^2", "--through-z"]
+        )
+        assert (code, out) == (0, '{"N":16,"bestContact":2,"found":false,"seed":0}\n')
+
     def test_alias_binding_rejects_duplicates(self, capsys):
         code, _, err = run(
             capsys,
@@ -440,6 +461,49 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "")
         assert diagnostic(err) == "relation-violated"
+
+    @pytest.mark.parametrize(
+        "param, message",
+        [("q:s^2", "unknown variable 'q'"), ("x", "bad parametrization component 'x'")],
+    )
+    def test_bad_parametrization_is_exit_2(self, capsys, param, message):
+        code, out, err = run(
+            capsys,
+            ["arcs-sample", "--vars", "x,y,z", "--rel", "y^2-x^3", "--f", "x-z^3",
+             "--param", param],
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "parametrize", "message": f"parametrize: {message}"}
+
+    @pytest.mark.parametrize(
+        "binding, message",
+        [
+            ("x", "bad binding component 'x'"),
+            ("=u1", "bad binding component '=u1'"),
+            ("x=q9", "unknown coordinate 'q9'"),
+            ("x=u1,y=u1", "two aliases bound to one coordinate"),
+        ],
+    )
+    def test_bad_binding_is_exit_2(self, capsys, binding, message):
+        code, out, err = run(capsys, ["mult", "--model", "n=1,m=1", "--bind", binding, "--f", "u1"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "bind", "message": f"bind: {message}"}
+
+    def test_node_at_infinity_is_exit_2(self, capsys):
+        # rejected with the same check and message by every curve command
+        expected = {
+            "error": "normalize-infinity",
+            "message": "normalize-infinity: node at infinity: "
+            "change coordinates before sheaf operations",
+        }
+        for point in ("inf", " Infinity"):
+            curve = json.dumps({"nodes": [[0, point]]})
+            for command in ("curve-h0", "theta", "classify", "family", "verify-A"):
+                code, out, err = run(
+                    capsys, [command, "--curve", curve, "--sheaf", SHEAF_TRIVIAL]
+                )
+                assert (code, out) == (2, "")
+                assert json.loads(err) == expected
 
     @pytest.mark.parametrize("flag", sorted(JSON_FLAGS))
     def test_json_nested_past_the_recursion_limit_is_exit_2(self, capsys, flag):

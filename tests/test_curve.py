@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 
 from nodaltheta.curve import (
-    INFINITY,
     RationalNodalCurve,
     TFSheaf,
     _condition_rows,
-    classify_theta_point,
     cohomology,
     general_drop_check,
     h0,
@@ -54,13 +52,6 @@ class TestCurveValidation:
     def test_genus_at_least_one(self):
         with pytest.raises(PreconditionError):
             RationalNodalCurve(())
-
-    def test_infinity_allowed_in_data_but_not_in_sheaf_ops(self):
-        curve = RationalNodalCurve(((Fraction(0), INFINITY),))
-        sheaf = sheaf_of([], 0, {0: 1})
-        with pytest.raises(PreconditionError) as info:
-            cohomology(curve, sheaf)
-        assert info.value.name == "normalize-infinity"
 
     def test_gluing_must_cover_free_nodes(self):
         with pytest.raises(PreconditionError):
@@ -246,21 +237,21 @@ class TestClassification:
         lam = {j: Fraction(5 - p, 5 - q) for j, (p, q) in enumerate(G2.nodes)}
         sheaf = sheaf_of([], 1, lam)
         assert h0(G2, sheaf) == 1
-        result = classify_theta_point(G2, sheaf)
+        result = theta_invariants(G2, sheaf)
         assert result.on_theta and not result.singular
 
     def test_boundary_singularity(self):
-        result = classify_theta_point(G2, sheaf_of([0], 0, {1: 1}))
+        result = theta_invariants(G2, sheaf_of([0], 0, {1: 1}))
         assert result.in_boundary and result.singular and not result.in_w1
 
     def test_w1_singularity(self):
         curve = curve_of((0, 4), (1, 3), (-1, 5))
         sheaf = sheaf_of([], 2, {0: 1, 1: 1, 2: 1})
         assert h0(curve, sheaf) == 2
-        result = classify_theta_point(curve, sheaf)
+        result = theta_invariants(curve, sheaf)
         assert result.in_w1 and result.singular and not result.in_boundary
 
     def test_off_theta_all_flags_false(self):
-        result = classify_theta_point(G2, sheaf_of([0, 1], -1, {}))
-        assert result == classify_theta_point(G2, sheaf_of([0, 1], -1, {}))
+        result = theta_invariants(G2, sheaf_of([0, 1], -1, {}))
+        assert result == theta_invariants(G2, sheaf_of([0, 1], -1, {}))
         assert not (result.on_theta or result.in_w1 or result.in_boundary or result.singular)

@@ -9,6 +9,7 @@ from nodaltheta.curve import (
     RationalNodalCurve,
     SheafFamily,
     TFSheaf,
+    _draw_points,
     _gluing_rows,
     cohomology,
     constant_family,
@@ -542,6 +543,40 @@ class TestFamilyCohomology:
         boundary = sheaf_of([0], -1, {})
         result = family_cohomology(G1, constant_family(boundary, 16), seed=0)
         assert result.theta_order == 0
+
+    def test_drawn_auxiliary_divisor_leaves_no_first_cohomology(self):
+        # At t = 0 the twisted sheaf has degree 2g-1-n on a partial
+        # normalization of genus g-n, above 2(g-n)-2: its g-n gluing
+        # conditions have full row rank for every E, so E is drawn once.
+        rng = random.Random(62)
+        nonzero = [c for c in range(-9, 10) if c]
+        for g in range(1, 7):
+            for n in range(g + 1):
+                for _ in range(10):
+                    curve, theta_sheaf = random_theta_point(rng, g, n)
+                    glue = {j: Fraction(rng.choice(nonzero)) for j in range(n, g)}
+                    for sheaf in (theta_sheaf, sheaf_of(range(n), g - 1 - n, glue)):
+                        seed = rng.randrange(10**6)
+                        minimal = make_minimal_family(curve, sheaf, 16, seed=seed)
+                        gluing = random_gluing_family(curve, sheaf, 16, rng)
+                        both = SheafFamily.make(
+                            sheaf, 16, dict(gluing.gluing_series), minimal.moving
+                        )
+                        for family in (minimal, gluing, both):
+                            avoid = {m.base for m in family.moving}
+                            avoid |= set(curve.node_points())
+                            aux = _draw_points(random.Random(seed), avoid, g)
+                            ncols = sheaf.line_degree + g + 1
+                            rows = _gluing_rows(curve, family, aux, ncols, 0)
+                            constant = [[entry[0] for entry in row] for row in rows]
+                            assert len(constant) == g - n
+                            assert rank_dense(constant) == g - n, (curve, sheaf, aux)
+        # that is the divisor `family_cohomology` draws from the seed
+        curve, sheaf = symmetric_point(5, 1)
+        family = make_minimal_family(curve, sheaf, 16, seed=3)
+        avoid = set(curve.node_points()) | {m.base for m in family.moving}
+        drawn = family_cohomology(curve, family, seed=4).aux_points
+        assert drawn == tuple(_draw_points(random.Random(4), avoid, 5))
 
     def test_moving_twist_family(self):
         sheaf = sheaf_of([0], 0, {1: 1})
