@@ -7,7 +7,8 @@ rendered as decimal strings when integral and "p/q" otherwise.  Output for
 identical inputs and seed is byte-identical across runs.
 
 Input is checked in two places.  The argument parser checks that each flag
-is present and well formed; its errors fail the check `argv`.  Every JSON
+is present and well formed, and the arc commands that no flag goes unused;
+these errors fail the check `argv`.  Every JSON
 argument is read by `_load_json` and its keys by `_field`, which name the
 argument's check (`curve`, `sheaf`, `family`, `arc`, `model`, `aux-divisor`,
 `golden`) when a shape is wrong or a required key is missing; text that
@@ -59,6 +60,7 @@ from .curve import (
 from .errors import IndeterminateAtTruncation, PreconditionError, VerificationError
 from .localmodel import LocalModel, ModelElement, branch_label, reduce as model_reduce
 from .multiplicity import (
+    DEFAULT_TMAX,
     RingSpec,
     check_eqnmat,
     hilbert_samuel,
@@ -66,24 +68,6 @@ from .multiplicity import (
 )
 from .parsing import parse_series
 from .series import DEFAULT_TRUNCATION, INFINITE, PowerSeries
-
-# Default of --tmax (--N and --truncation default to DEFAULT_TRUNCATION);
-# NODALTHETA_N and NODALTHETA_TMAX override them, read on every dispatch so
-# that a bad value is an input error (exit 2), not an import-time traceback,
-# and the parser is built only once.
-DEFAULT_TMAX = 10
-
-
-def _env_int(name: str, default: int) -> int:
-    """Integer default from the environment, read when a command runs."""
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return int(text)
-    except ValueError:
-        raise PreconditionError(name, f"expected an integer, found {text!r}") from None
-
 
 # -- JSON helpers ------------------------------------------------------------
 
@@ -324,8 +308,7 @@ def cmd_ord(args) -> dict:
 
 
 def cmd_hs(args) -> dict:
-    truncation = max(args.truncation, args.tmax)
-    spec = build_ringspec(args, truncation)
+    spec = build_ringspec(args, max(args.tmax, DEFAULT_TRUNCATION))
     table = hilbert_samuel(spec, args.tmax)
     return {
         "dimension": table.dimension,
@@ -336,11 +319,23 @@ def cmd_hs(args) -> dict:
     }
 
 
+def _check_ring_flags(args) -> None:
+    """Rejects an arc flag that the chosen ring mode would ignore."""
+    if args.vars is None:
+        mode, ignored = "--model", ("rel", "param")
+    else:
+        mode, ignored = "--vars", ("bind",)
+    for name in ignored:
+        if getattr(args, name, None) is not None:
+            raise PreconditionError("argv", f"--{name} does not apply with {mode}")
+
+
 def cmd_arc(args) -> dict:
+    _check_ring_flags(args)
     truncation = args.N
-    working = max(truncation, args.truncation)
-    if args.minimal or args.through_z:
-        if args.vars:
+    working = max(truncation, DEFAULT_TRUNCATION)
+    if args.images is None:
+        if args.vars is not None:
             raise PreconditionError(
                 "arc",
                 "minimal-arc search needs a standard model; arbitrary rings "
@@ -366,10 +361,8 @@ def cmd_arc(args) -> dict:
             "seed": args.seed,
             "N": truncation,
         }
-    if not args.images:
-        raise PreconditionError("arc", "--images is required")
     images = load_images(args.images, truncation)
-    if args.vars:
+    if args.vars is not None:
         spec = build_ringspec(args, working)
         arc, divisor = make_general_arc(spec, images, truncation), spec.divisor
     else:
@@ -382,9 +375,10 @@ def cmd_arc(args) -> dict:
 
 
 def cmd_arcs_sample(args) -> dict:
+    _check_ring_flags(args)
     truncation = args.N
-    working = max(truncation, args.truncation)
-    if args.vars:
+    working = max(truncation, DEFAULT_TRUNCATION)
+    if args.vars is not None:
         spec = build_ringspec(args, working)
         powers = {}
         if args.param:
@@ -529,7 +523,7 @@ def golden_suite(path: str) -> dict:
         expected = canonical_json(_load_json(str(case / "expected.json"), "golden"))
         try:  # a help action prints usage and exits, which would end the suite
             with contextlib.redirect_stdout(io.StringIO()):
-                args = _parse(argv)
+                args = build_parser().parse_args(argv)
         except SystemExit:
             raise PreconditionError("golden", f"case {case.name!r} asks for help") from None
         if args.command == "golden":
@@ -574,7 +568,9 @@ def _add_model_element_flags(parser):
     parser.add_argument(
         "--bind", help='aliases for the canonical coordinates, e.g. "x=u1,y=v1,z=w1"'
     )
-    parser.add_argument("--truncation", type=int, help="series truncation degree")
+    parser.add_argument(
+        "--truncation", type=int, default=DEFAULT_TRUNCATION, help="series truncation degree"
+    )
 
 
 def _add_arc_flags(parser):
@@ -584,9 +580,8 @@ def _add_arc_flags(parser):
     parser.add_argument("--rel", action="append", help="ideal relation (repeatable)")
     parser.add_argument("--bind", help="aliases for the canonical coordinates")
     parser.add_argument("--f", required=True, help="divisor equation")
-    parser.add_argument("--N", type=int)
+    parser.add_argument("--N", type=int, default=DEFAULT_TRUNCATION)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--truncation", type=int)
 
 
 def _add_curve_flags(parser):
@@ -596,8 +591,7 @@ def _add_curve_flags(parser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use; --N, --truncation and --tmax
-    default to None and are filled in by `dispatch`."""
+    """The argument parser, built on first use and kept for the process."""
     parser = _Parser(
         prog="nodaltheta",
         description="Exact local multiplicity invariants on nodal models and "
@@ -617,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mult", cmd_mult, "branch-sum multiplicity of a divisor", _add_model_element_flags
     )
     p.add_argument("--with-hs", action="store_true", help="cross-check with the oracle")
-    p.add_argument("--tmax", type=int)
+    p.add_argument("--tmax", type=int, default=DEFAULT_TMAX)
 
     command("ord", cmd_ord, "order of vanishing at the origin", _add_model_element_flags)
 
@@ -625,14 +619,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", required=True, help="comma-separated variable names")
     p.add_argument("--rel", action="append", help="ideal relation (repeatable)")
     p.add_argument("--f", help="optional divisor equation")
-    p.add_argument("--tmax", type=int)
-    p.add_argument("--truncation", type=int)
+    p.add_argument("--tmax", type=int, default=DEFAULT_TMAX)
 
     p = command("arc", cmd_arc, "contact order of a divisor along an arc", _add_arc_flags)
-    p.add_argument("--images", help='arc JSON, e.g. {"u1":"0","v1":"t"}')
-    p.add_argument("--minimal", action="store_true", help="construct a minimal-contact arc")
-    p.add_argument(
-        "--through-z", action="store_true", help="restrict to the locally trivial locus"
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--images", help='arc JSON, e.g. {"u1":"0","v1":"t"}')
+    mode.add_argument("--minimal", action="store_true", help="construct a minimal-contact arc")
+    mode.add_argument(
+        "--through-z", action="store_true", help="a minimal-contact arc through Z"
     )
 
     p = command("arcs-sample", cmd_arcs_sample, "random-arc lower bound check", _add_arc_flags)
@@ -648,11 +642,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--family", help="family JSON (default: build a minimal family)")
     p.add_argument("--aux", help="pin the auxiliary divisor, e.g. [2]")
-    p.add_argument("--N", type=int)
+    p.add_argument("--N", type=int, default=DEFAULT_TRUNCATION)
     p.add_argument("--seed", type=int, default=0)
 
     p = command("verify-A", cmd_verify_A, "cross-checked multiplicity identity", _add_curve_flags)
-    p.add_argument("--N", type=int)
+    p.add_argument("--N", type=int, default=DEFAULT_TRUNCATION)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--families", type=int, default=3)
 
@@ -662,19 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv) -> argparse.Namespace:
-    """Parsed argv, with --N, --truncation and --tmax filled from the environment."""
-    n = _env_int("NODALTHETA_N", DEFAULT_TRUNCATION)
-    defaults = {"N": n, "truncation": n, "tmax": _env_int("NODALTHETA_TMAX", DEFAULT_TMAX)}
-    args = build_parser().parse_args(argv)
-    for name, value in defaults.items():
-        if getattr(args, name, value) is None:
-            setattr(args, name, value)
-    return args
-
-
 def dispatch(argv) -> dict:
-    args = _parse(argv)
+    args = build_parser().parse_args(argv)
     return args.handler(args)
 
 

@@ -268,8 +268,6 @@ def theta_invariants(curve: RationalNodalCurve, sheaf: TFSheaf) -> ThetaReport:
 
 
 def _theta_report(sheaf: TFSheaf, h0_value: int, h1_value: int) -> ThetaReport:
-    if h0_value != h1_value:
-        raise VerificationError("degree g-1 sheaf must have h0 = h1")
     n = sheaf.nonfree_count
     on_theta = h0_value >= 1
     in_w1 = h0_value >= 2

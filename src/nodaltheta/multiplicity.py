@@ -114,6 +114,9 @@ class HilbertSamuelTable:
 # golden case or a benchmark input builds.
 MAX_COLUMNS = 30_000
 
+# Depth of the table when the caller names none (`hs` and `mult --with-hs`).
+DEFAULT_TMAX = 10
+
 
 def _stable_tail(row: List[int]) -> Optional[int]:
     """Value of a row whose last >= 3 entries agree, else None."""
@@ -129,7 +132,7 @@ def _stable_tail(row: List[int]) -> Optional[int]:
     return tail if run >= 3 else None
 
 
-def hilbert_samuel(spec: RingSpec, t_max: int = 10) -> HilbertSamuelTable:
+def hilbert_samuel(spec: RingSpec, t_max: int = DEFAULT_TMAX) -> HilbertSamuelTable:
     """Hilbert-Samuel function of the quotient ring, from one elimination.
 
     H(t) = dim_Q O / (ideal + m^(t+1)) for every t <= t_max.  A generator

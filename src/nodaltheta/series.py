@@ -221,11 +221,6 @@ class PowerSeries:
                 out[e] = out.get(e, Fraction(0)) + ca * cb
         return PowerSeries(self.variables, out, truncation)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def scale(self, value: Rational) -> "PowerSeries":
         value = Fraction(value)
         return PowerSeries(
@@ -259,15 +254,6 @@ class PowerSeries:
             self.variables == other.variables
             and self.truncation == other.truncation
             and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                self.variables,
-                self.truncation,
-                frozenset(self.coefficients.items()),
-            )
         )
 
     # -- structural operations ---------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from nodaltheta.cli import (
     golden_suite,
     main,
 )
+from nodaltheta.multiplicity import DEFAULT_TMAX
+from nodaltheta.series import DEFAULT_TRUNCATION
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "golden"
@@ -267,6 +270,16 @@ class TestExitCodes:
             ["arc", "--model", "n=1,m=1", "--minimal"],
             ["arcs-sample", "--model", "n=1,m=1"],
             ["hs", "--rel", "x"],
+            # a second truncation, no arc mode or two, a flag of the other ring
+            ["hs", "--vars", "x", "--rel", "x^2", "--truncation", "20"],
+            ["arc", "--model", "n=1,m=1", "--f=w1", "--minimal", "--truncation", "20"],
+            ["arc", "--model", "n=1,m=1", "--f=w1"],
+            ["arc", "--model", "n=1,m=1", "--f=w1", "--minimal", "--through-z"],
+            ["arc", "--model", "n=1,m=1", "--f=v1-u1^2", "--minimal",
+             "--images", '{"u1":"t","v1":"t","w1":"0"}'],
+            ["arcs-sample", "--model", "n=1,m=1", "--f=v1-u1^2", "--rel", "u1-v1"],
+            ["arcs-sample", "--model", "n=1,m=1", "--f=v1-u1^2", "--param", "u1:s"],
+            ["arc", "--vars", "x,y", "--f=x", "--bind", "z=x", "--images", '{"x":"t","y":"0"}'],
         ],
     )
     def test_bad_argv_is_exit_2(self, capsys, argv):
@@ -518,39 +531,26 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert diagnostic(err) == "input"
 
+    def test_empty_vars_is_exit_2(self, capsys):
+        for argv in (
+            ["arcs-sample", "--vars", "", "--f", "x"],
+            ["arc", "--vars", "", "--f", "x", "--images", '{"x":"t"}'],
+        ):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert diagnostic(err) == "parse"
 
-    @pytest.mark.parametrize("name", ["NODALTHETA_N", "NODALTHETA_TMAX"])
-    def test_bad_environment_is_exit_2(self, capsys, monkeypatch, name):
-        monkeypatch.setenv(name, "abc")
-        code, out, err = run(capsys, ["ord", "--model", "n=1,m=0", "--f", "u1*v1"])
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        diagnostic = json.loads(err)
-        assert diagnostic["error"] == name
-        assert "'abc'" in diagnostic["message"]
-
-    def test_environment_read_on_every_dispatch(self, monkeypatch):
-        # the parser is built once; each dispatch fills N, truncation and
-        # tmax from the environment it runs in
-        argv = ["arc", "--model", "n=1,m=1", "--f=w1", "--minimal"]
+    def test_truncations_come_from_argv_alone(self, monkeypatch):
+        # the parser is built once, its defaults are the documented ones, and
+        # the environment changes no report
         monkeypatch.setenv("NODALTHETA_N", "8")
-        assert dispatch(argv)["N"] == 8
-        monkeypatch.setenv("NODALTHETA_N", "11")
-        assert dispatch(argv)["N"] == 11
-        assert dispatch(argv + ["--N", "5"])["N"] == 5
-        hs = ["hs", "--vars", "x", "--rel", "x^2"]
         monkeypatch.setenv("NODALTHETA_TMAX", "6")
-        assert dispatch(hs)["t_max"] == 6
-        monkeypatch.setenv("NODALTHETA_TMAX", "7")
-        assert dispatch(hs)["t_max"] == 7
+        arc = ["arc", "--model", "n=1,m=1", "--f=w1", "--minimal"]
+        assert dispatch(arc)["N"] == DEFAULT_TRUNCATION
+        assert dispatch(arc + ["--N", "5"])["N"] == 5
+        assert dispatch(["hs", "--vars", "x", "--rel", "x^2"])["t_max"] == DEFAULT_TMAX
+        assert dispatch(["ord", "--model", "n=0,m=1", "--f", "w1^10"]) == {"ord": 10}
         assert build_parser() is build_parser()
-
-    def test_environment_sets_default_truncation(self, capsys, monkeypatch):
-        monkeypatch.setenv("NODALTHETA_N", "8")
-        code, out, _ = run(capsys, ["family", "--curve", CURVE_G1, "--sheaf", SHEAF_TRIVIAL])
-        assert code == 0
-        assert json.loads(out)["N"] == 8
 
 
 class TestLargePowers:
@@ -661,3 +661,19 @@ class TestInputForms:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert json.loads(out) == payload
+
+
+class TestReadme:
+    def test_cli_examples_exit_0(self, capsys):
+        # every `nodaltheta` line of the README's CLI block, continuations
+        # joined, runs as written; together they cover every subcommand but
+        # `golden`, which has its own section
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("nodaltheta ")]
+        for argv in commands:
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
+        assert capsys.readouterr().err == ""
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        assert {argv[0] for argv in commands} == set(subcommands) - {"golden"}

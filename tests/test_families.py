@@ -669,6 +669,22 @@ class TestLowerBound:
             # corank of the evaluation matrix at t=0 recomputes h1 of the fiber
             assert result.h0_rank == h1_value
 
+    def test_draw_without_motion_still_moves(self):
+        # a draw whose degree 1-3 coefficients are all 0 would be the constant
+        # family, which lies in theta; the fallback moves the first scalar
+        class ZeroDraws:
+            def randint(self, low, high):
+                return 0
+
+        cases = [(G1, TRIVIAL), (curve_of((0, 1), (2, 3)), sheaf_of([], 1, {0: 1, 1: 1}))]
+        for curve, sheaf in cases:
+            h0_value = cohomology(curve, sheaf)[0]
+            assert h0_value >= 1
+            with pytest.raises(IndeterminateAtTruncation):
+                family_contact(curve, constant_family(sheaf, 16))
+            family = random_gluing_family(curve, sheaf, 16, ZeroDraws())
+            assert h0_value <= family_contact(curve, family).theta_order <= 16
+
     def test_fiber_corank_recovers_h1_across_genera(self):
         rng = random.Random(54)
         for g in (1, 2, 3):
