@@ -5,8 +5,9 @@ leading forms of truncated power series; branch-sum multiplicities of
 divisors on standard nodal local rings, cross-checked by an independent
 Hilbert-Samuel oracle; contact orders of test arcs; and cohomology, theta
 multiplicity, and one-parameter family invariants of rank-1 torsion-free
-sheaves on integral rational nodal curves, verifying the multiplicity
-identity  mult = 2^n * h0  at every theta point.
+sheaves on integral rational nodal curves.  At a theta point ord = h0 is
+derived two ways, while multJ = 2^n and multTheta = 2^n * h0 are the
+paper's formula evaluated at (n, h0).
 """
 
 from .errors import IndeterminateAtTruncation, PreconditionError, VerificationError

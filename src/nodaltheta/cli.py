@@ -7,12 +7,12 @@ rendered as decimal strings when integral and "p/q" otherwise.  Output for
 identical inputs and seed is byte-identical across runs.
 
 Input is checked in two places.  The argument parser checks that each flag
-is present and well formed, and the arc commands that no flag goes unused;
-these errors fail the check `argv`.  Every JSON
+is present and well formed, and `_refuse_idle_flags` that no mode is given
+a flag it cannot use; these errors fail the check `argv`.  Every JSON
 argument is read by `_load_json` and its keys by `_field`, which name the
-argument's check (`curve`, `sheaf`, `family`, `arc`, `model`, `aux-divisor`,
-`golden`) when a shape is wrong or a required key is missing; text that
-cannot be read or parsed is an `input` error.
+argument's check (`curve`, `sheaf`, `family`, `arc`, `aux-divisor`,
+`golden`) when a shape is wrong, a required key is missing or a key is not
+read at all; text that cannot be read or parsed is an `input` error.
 
 Exit statuses, one row of `_EXITS` per exception type: 0 success, 2
 precondition or validation failure (one JSON line on standard error naming
@@ -119,10 +119,12 @@ def canonical_json(payload: dict) -> str:
 _SHAPES = {dict: "an object", list: "an array", str: "a string"}
 
 
-def _shaped(value, kind: type, check: str, what: str):
-    """`value`, which must be a `kind`, or the check `check` fails."""
+def _shaped(value, kind: type, check: str, what: str, keys=None):
+    """`value`, a `kind` with no key outside `keys` when given, or `check` fails."""
     if not isinstance(value, kind):
         raise PreconditionError(check, f"{what} must be {_SHAPES[kind]}")
+    if keys is not None and set(value) - set(keys):
+        raise PreconditionError(check, f"{what} has unknown keys {sorted(set(value) - set(keys))}")
     return value
 
 
@@ -136,10 +138,10 @@ def _field(payload: dict, key: str, check: str, kind: type = object, default=Non
     return _shaped(payload[key], kind, check, key)
 
 
-def _load_json(text_or_path: str, check: str) -> dict:
-    """A JSON object given inline or as a file path.  A malformed shape fails
-    `check`; a path holding a NUL byte, unreadable or unparsable text, and
-    JSON nested past the recursion limit are `input` errors."""
+def _load_json(text_or_path: str, check: str, keys=None) -> dict:
+    """A JSON object, inline or in a file.  A malformed shape or a key outside
+    `keys`, when given, fails `check`; a path holding a NUL byte, unreadable
+    or unparsable text, and JSON nested too deep are `input` errors."""
     text = text_or_path.strip()
     if not text.startswith("{"):
         if "\0" in text_or_path:
@@ -149,20 +151,14 @@ def _load_json(text_or_path: str, check: str) -> dict:
         payload = json.loads(text)
     except RecursionError:
         raise PreconditionError("input", "JSON nested too deeply") from None
-    return _shaped(payload, dict, check, "the argument")
+    return _shaped(payload, dict, check, "the argument", keys)
 
 
 # -- input object builders ---------------------------------------------------
 
 
 def parse_model_flag(text: str) -> LocalModel:
-    """Model syntax: inline "n=1,m=1" or a JSON object {"n": 1, "m": 1}."""
-    text = text.strip()
-    if text.startswith("{"):
-        payload = _load_json(text, "model")
-        return LocalModel(
-            *(_int_from_json(_field(payload, key, "model"), "model") for key in "nm")
-        )
+    """Model syntax "n=1,m=1"; a count left out is 0."""
     values = {}
     for part in text.split(","):
         if "=" not in part:
@@ -186,7 +182,7 @@ def _point(value) -> Fraction:
 
 def load_curve(text_or_path: str) -> RationalNodalCurve:
     nodes = []
-    for pair in _field(_load_json(text_or_path, "curve"), "nodes", "curve", list):
+    for pair in _field(_load_json(text_or_path, "curve", ("nodes",)), "nodes", "curve", list):
         if len(_shaped(pair, list, "curve", "each node")) != 2:
             raise PreconditionError("curve", "each node needs exactly two points")
         nodes.append((_point(pair[0]), _point(pair[1])))
@@ -194,7 +190,7 @@ def load_curve(text_or_path: str) -> RationalNodalCurve:
 
 
 def load_sheaf(text_or_path: str) -> TFSheaf:
-    payload = _load_json(text_or_path, "sheaf")
+    payload = _load_json(text_or_path, "sheaf", ("nonfree", "dL", "glue"))
     gluing = {
         _int_from_json(j, "sheaf"): rational_from_json(v)
         for j, v in _field(payload, "glue", "sheaf", dict, {}).items()
@@ -206,29 +202,29 @@ def load_sheaf(text_or_path: str) -> TFSheaf:
     )
 
 
-def load_family(text_or_path: str, sheaf: TFSheaf, truncation: int) -> SheafFamily:
-    payload = _load_json(text_or_path, "family")
-    n = _int_from_json(_field(payload, "N", "family", default=truncation), "family")
+def load_family(text_or_path: str, sheaf: TFSheaf, n: int) -> SheafFamily:
+    payload = _load_json(text_or_path, "family", ("glueSeries", "moving"))
+    glue = _field(payload, "glueSeries", "family", dict, {})
     gluing_series = {
-        _int_from_json(j, "family"): parse_series(str(expr), ("t",), n)
-        for j, expr in _field(payload, "glueSeries", "family", dict, {}).items()
+        _int_from_json(j, "family"): parse_series(_field(glue, j, "family", str), ("t",), n)
+        for j in glue
     }
     for j, lam in sheaf.gluing:
         gluing_series.setdefault(j, PowerSeries.univariate({0: lam}, n))
     moving = []
     for entry in _field(payload, "moving", "family", list, []):
-        point = _shaped(entry, dict, "family", "each moving point")
+        point = _shaped(entry, dict, "family", "each moving point", ("base", "trajectory"))
         base = rational_from_json(_field(point, "base", "family"))
-        trajectory = parse_series(str(_field(point, "trajectory", "family")), ("t",), n)
+        trajectory = parse_series(_field(point, "trajectory", "family", str), ("t",), n)
         moving.append(MovingPoint(base=base, trajectory=trajectory))
     return SheafFamily.make(sheaf, n, gluing_series, moving)
 
 
 def load_images(text_or_path: str, truncation: int) -> Dict[str, PowerSeries]:
-    payload = _load_json(text_or_path, "arc")
+    images = _load_json(text_or_path, "arc")
     return {
-        name: parse_series(str(expr), ("t",), truncation)
-        for name, expr in _field(payload, "images", "arc", dict, payload).items()
+        name: parse_series(_field(images, name, "arc", str), ("t",), truncation)
+        for name in images
     }
 
 
@@ -275,9 +271,10 @@ def _element(args, truncation: int) -> ModelElement:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _branchsum_payload(element: ModelElement) -> dict:
+def cmd_mult(args) -> dict:
+    element = _element(args, args.truncation)
     report = check_eqnmat(element)
-    return {
+    payload = {
         "ord": report.ord_divisor,
         "mult_V": report.mult_model,
         "mult_D": report.mult_divisor,
@@ -285,13 +282,9 @@ def _branchsum_payload(element: ModelElement) -> dict:
         "branches": [branch_label(b.branch) for b in report.per_branch],
         "eqnmat": {"holds": report.holds, "equality": report.equality},
     }
-
-
-def cmd_mult(args) -> dict:
-    element = _element(args, args.truncation)
-    payload = _branchsum_payload(element)
     if args.with_hs:
-        table = hilbert_samuel(model_ringspec(element.model, element.series), args.tmax)
+        tmax = DEFAULT_TMAX if args.tmax is None else args.tmax
+        table = hilbert_samuel(model_ringspec(element.model, element.series), tmax)
         payload["hs_table"] = {
             "values": table.values,
             "dimension": table.dimension,
@@ -319,36 +312,19 @@ def cmd_hs(args) -> dict:
     }
 
 
-def _check_ring_flags(args) -> None:
-    """Rejects an arc flag that the chosen ring mode would ignore."""
-    if args.vars is None:
-        mode, ignored = "--model", ("rel", "param")
-    else:
-        mode, ignored = "--vars", ("bind",)
-    for name in ignored:
-        if getattr(args, name, None) is not None:
-            raise PreconditionError("argv", f"--{name} does not apply with {mode}")
-
-
 def cmd_arc(args) -> dict:
-    _check_ring_flags(args)
     truncation = args.N
     working = max(truncation, DEFAULT_TRUNCATION)
     if args.images is None:
-        if args.vars is not None:
-            raise PreconditionError(
-                "arc",
-                "minimal-arc search needs a standard model; arbitrary rings "
-                "take arcs only through explicit images",
-            )
         element = _element(args, working)
+        seed = 0 if args.seed is None else args.seed
         finder = minimal_arc_through_Z if args.through_z else minimal_arc
-        found = finder(element, truncation, args.seed)
+        found = finder(element, truncation, seed)
         if isinstance(found, ZArcNotFound):
             return {
                 "found": False,
                 "bestContact": order_to_json(found.best_contact),
-                "seed": args.seed,
+                "seed": seed,
                 "N": truncation,
             }
         return {
@@ -358,7 +334,7 @@ def cmd_arc(args) -> dict:
             "images": {
                 name: str(series) for name, series in sorted(found.arc.images.items())
             },
-            "seed": args.seed,
+            "seed": seed,
             "N": truncation,
         }
     images = load_images(args.images, truncation)
@@ -375,7 +351,6 @@ def cmd_arc(args) -> dict:
 
 
 def cmd_arcs_sample(args) -> dict:
-    _check_ring_flags(args)
     truncation = args.N
     working = max(truncation, DEFAULT_TRUNCATION)
     if args.vars is not None:
@@ -517,7 +492,8 @@ def golden_suite(path: str) -> dict:
     results = []
     passed = 0
     for case in cases:
-        argv = _field(_load_json(str(case / "input.json"), "golden"), "argv", "golden", list)
+        payload = _load_json(str(case / "input.json"), "golden", ("argv",))
+        argv = _field(payload, "argv", "golden", list)
         for arg in argv:
             _shaped(arg, str, "golden", "each argv entry")
         expected = canonical_json(_load_json(str(case / "expected.json"), "golden"))
@@ -554,12 +530,33 @@ def cmd_golden(args) -> dict:
 # -- parser / dispatch ---------------------------------------------------------
 
 
+def _refuse_idle_flags(args) -> None:
+    """The one table of flags that a mode cannot use: per mode, whether the
+    parsed argv is in it and the flags it refuses.  A refusable flag
+    defaults to None, so any other value was given."""
+    given = {name for name, value in vars(args).items() if value is not None}
+    for mode, active, refused in (
+        ("with --model", "model" in given, ("--rel", "--param")),
+        ("with --vars", "vars" in given, ("--bind", "--minimal", "--through-z")),
+        ("with --images", "images" in given, ("--seed",)),
+        ("without --with-hs", vars(args).get("with_hs") is False, ("--tmax",)),
+    ):
+        for flag in refused:
+            if active and flag[2:].replace("-", "_") in given:
+                raise PreconditionError("argv", f"{flag} does not apply {mode}")
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a malformed argv as the failed check `argv`, like any other
-    input error, instead of printing usage and exiting."""
+    """Reports a malformed argv, or a flag that the chosen mode cannot use, as
+    the failed check `argv` instead of printing usage and exiting."""
 
     def error(self, message):
         raise PreconditionError("argv", message)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        _refuse_idle_flags(parsed)
+        return parsed
 
 
 def _add_model_element_flags(parser):
@@ -581,7 +578,6 @@ def _add_arc_flags(parser):
     parser.add_argument("--bind", help="aliases for the canonical coordinates")
     parser.add_argument("--f", required=True, help="divisor equation")
     parser.add_argument("--N", type=int, default=DEFAULT_TRUNCATION)
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_curve_flags(parser):
@@ -611,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mult", cmd_mult, "branch-sum multiplicity of a divisor", _add_model_element_flags
     )
     p.add_argument("--with-hs", action="store_true", help="cross-check with the oracle")
-    p.add_argument("--tmax", type=int, default=DEFAULT_TMAX)
+    p.add_argument("--tmax", type=int, help=f"oracle depth, {DEFAULT_TMAX} if not given")
 
     command("ord", cmd_ord, "order of vanishing at the origin", _add_model_element_flags)
 
@@ -624,14 +620,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("arc", cmd_arc, "contact order of a divisor along an arc", _add_arc_flags)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--images", help='arc JSON, e.g. {"u1":"0","v1":"t"}')
-    mode.add_argument("--minimal", action="store_true", help="construct a minimal-contact arc")
     mode.add_argument(
-        "--through-z", action="store_true", help="a minimal-contact arc through Z"
+        "--minimal", action="store_true", default=None, help="construct a minimal-contact arc"
     )
+    mode.add_argument(
+        "--through-z", action="store_true", default=None, help="a minimal-contact arc through Z"
+    )
+    p.add_argument("--seed", type=int, help="seed of the arc search, 0 if not given")
 
     p = command("arcs-sample", cmd_arcs_sample, "random-arc lower bound check", _add_arc_flags)
     p.add_argument("--param", help='parametrization hook, e.g. "x:s^2,y:s^3"')
     p.add_argument("--count", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
 
     command("curve-h0", cmd_curve_h0, "cohomology of a sheaf on a nodal curve", _add_curve_flags)
     command("theta", cmd_theta, "theta multiplicity report at a sheaf", _add_curve_flags)

@@ -573,12 +573,7 @@ def family_cohomology(
     return replace(result, aux_points=tuple(aux))
 
 
-def random_gluing_family(
-    curve: RationalNodalCurve,
-    sheaf: TFSheaf,
-    truncation: int,
-    rng: random.Random,
-) -> SheafFamily:
+def random_gluing_family(sheaf: TFSheaf, truncation: int, rng: random.Random) -> SheafFamily:
     """Random locally trivial deformation of the gluing scalars."""
     gluing_series = {}
     any_motion = False
@@ -611,13 +606,15 @@ def verify_theorem_A(
     seed: int = 0,
     random_families: int = 3,
 ) -> TheoremAReport:
-    """Cross-check the multiplicity identity mult = 2^n * h0 along families.
+    """Derive ord(theta) = h0 at a theta point two ways, and bound it along families.
 
-    The order of theta at the point is computed two ways: h0 by linear
-    algebra, and the contact order of a minimal family; these must agree.
-    Additional random gluing families must all have contact at least h0
-    (families that vanish to truncation count as contact > N and pass).
-    Any disagreement raises: it is either a bug or a counterexample.
+    h0 comes from linear algebra on the gluing conditions; the minimal
+    family's contact and its corank at t = 0 must both equal it.  Random
+    gluing families must all have contact at least h0 (families that vanish
+    to truncation count as contact > N and pass).  Any disagreement raises:
+    it is either a bug or a counterexample.  The reported multJ = 2^n and
+    multTheta = 2^n * h0 are the paper's formula evaluated at (n, h0), not
+    derived here.
     """
     if random_families < 0:
         raise PreconditionError(
@@ -637,14 +634,15 @@ def verify_theorem_A(
             "minimal family vanishes to truncation; its sections should "
             "obstruct that by construction"
         ) from exc
-    if result.theta_order != h0_value:
+    if result.theta_order != h0_value or result.h0_rank != h0_value:
         raise VerificationError(
-            f"minimal family contact {result.theta_order} != h0 {h0_value}"
+            f"minimal family contact {result.theta_order} and t = 0 corank "
+            f"{result.h0_rank} must both equal h0 {h0_value}"
         )
     rng = random.Random(seed + 2)
     random_orders: List[Union[int, str]] = []
     for _ in range(random_families):
-        deformation = random_gluing_family(curve, sheaf, truncation, rng)
+        deformation = random_gluing_family(sheaf, truncation, rng)
         try:
             outcome = family_contact(curve, deformation)
         except IndeterminateAtTruncation:

@@ -236,6 +236,16 @@ class TestExitCodes:
             (FAMILY[:5] + ["--aux", "5"], "aux-divisor"),
             (FAMILY[:5] + ["--aux", '{"2":0}'], "aux-divisor"),
             (JSON_FLAGS["--images"] + ['{"images":[1]}'], "arc"),
+            # a key that no loader reads, and a series not written as a string
+            (["curve-h0", "--curve", CURVE_G1, "--sheaf",
+              '{"nonfree":[],"dL":0,"glue":{"0":1},"nonFree":[0]}'], "sheaf"),
+            (JSON_FLAGS["--curve"] + ['{"nodes":[[0,1]],"node":[]}'], "curve"),
+            (FAMILY + ['{"glueseries":{"0":"1+t"}}', "--aux", "[2]"], "family"),
+            (FAMILY + ['{"moving":[{"base":7,"trajectory":"7+t","speed":2}]}'], "family"),
+            (FAMILY + ['{"glueSeries":{"0":1}}'], "family"),
+            (FAMILY + ['{"moving":[{"base":7,"trajectory":7}]}'], "family"),
+            (JSON_FLAGS["--images"] + ['{"images":{"u1":"0","v1":"t","w1":"0"}}'], "arc"),
+            (JSON_FLAGS["--images"] + ['{"u1":0,"v1":"t","w1":"0"}'], "arc"),
         ],
     )
     def test_malformed_json_shape_is_exit_2(self, capsys, argv, check):
@@ -280,6 +290,13 @@ class TestExitCodes:
             ["arcs-sample", "--model", "n=1,m=1", "--f=v1-u1^2", "--rel", "u1-v1"],
             ["arcs-sample", "--model", "n=1,m=1", "--f=v1-u1^2", "--param", "u1:s"],
             ["arc", "--vars", "x,y", "--f=x", "--bind", "z=x", "--images", '{"x":"t","y":"0"}'],
+            # a seed without a search, a depth without the oracle, a search off a model
+            ["arc", "--model", "n=1,m=1", "--f=v1-u1^2",
+             "--images", '{"u1":"0","v1":"t","w1":"0"}', "--seed", "7"],
+            ["mult", "--model", "n=1,m=1", "--f=v1-u1^2", "--tmax", "3"],
+            ["mult", "--model", "n=1,m=1", "--f=v1-u1^2", "--tmax", str(DEFAULT_TMAX)],
+            ["arc", "--vars", "x", "--f", "x", "--minimal"],
+            ["arc", "--vars", "x", "--f", "x", "--through-z", "--seed", "0"],
         ],
     )
     def test_bad_argv_is_exit_2(self, capsys, argv):
@@ -341,19 +358,23 @@ class TestExitCodes:
         report = json.loads(out)
         assert (report["requested"], report["used"], report["minContact"]) == (0, 0, None)
 
-    @pytest.mark.parametrize("model", ["n=x", '{"n":"x","m":0}', '{"n":1}'])
+    @pytest.mark.parametrize("model", ["n=x"])
     def test_bad_model_integer_is_exit_2(self, capsys, model):
         code, out, err = run(capsys, ["ord", "--model", model, "--f", "w1"])
         assert code == 2
         assert json.loads(err)["error"] == "model"
 
+    def test_model_as_json_is_exit_2(self, capsys):
+        # "n=1,m=1" is the one model syntax
+        code, out, err = run(capsys, ["ord", "--model", '{"n":1,"m":1}', "--f", "w1"])
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == "model"
+
     def test_bad_family_truncation_is_exit_2(self, capsys):
-        code, _, err = run(
-            capsys,
-            ["family", "--curve", CURVE_G1, "--sheaf", SHEAF_TRIVIAL, "--family", '{"N":"x"}'],
-        )
-        assert code == 2
-        assert json.loads(err)["error"] == "family"
+        # a family's truncation comes from --N alone
+        code, out, err = run(capsys, FAMILY + ['{"N":8,"glueSeries":{"0":"1+t"}}'])
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == "family"
 
     @pytest.mark.parametrize(
         "expression", ["(" * 3000 + "w1" + ")" * 3000, "-" * 3000 + "w1"]
@@ -377,7 +398,9 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "verification"
 
     @pytest.mark.parametrize(
-        "content", ['{"argv":5}', "[1]", '{"argv":[5]}', '{"args":[]}', None]
+        "content",
+        ['{"argv":5}', "[1]", '{"argv":[5]}', '{"args":[]}', None,
+         '{"argv":["ord","--model","n=0,m=1","--f","w1"],"N":16}'],
     )
     def test_malformed_golden_case_is_exit_2(self, capsys, tmp_path, content):
         # None: a directory with no case, which must not pass vacuously
@@ -442,7 +465,7 @@ class TestExitCodes:
         "argv",
         [
             ["mult", "--model", "n=30,m=0", "--f", "u1+v1"],
-            ["mult", "--model", '{"n":17,"m":1}', "--f", "u1+v1+w1"],
+            ["mult", "--model", "n=17,m=1", "--f", "u1+v1+w1"],
         ],
     )
     def test_model_past_the_branch_budget_is_exit_2(self, capsys, argv):
@@ -548,6 +571,9 @@ class TestExitCodes:
         arc = ["arc", "--model", "n=1,m=1", "--f=w1", "--minimal"]
         assert dispatch(arc)["N"] == DEFAULT_TRUNCATION
         assert dispatch(arc + ["--N", "5"])["N"] == 5
+        family = FAMILY + ['{"glueSeries":{"0":"1+t"}}']
+        assert dispatch(family)["N"] == DEFAULT_TRUNCATION
+        assert dispatch(family + ["--N", "12"])["N"] == 12
         assert dispatch(["hs", "--vars", "x", "--rel", "x^2"])["t_max"] == DEFAULT_TMAX
         assert dispatch(["ord", "--model", "n=0,m=1", "--f", "w1^10"]) == {"ord": 10}
         assert build_parser() is build_parser()

@@ -558,7 +558,7 @@ class TestFamilyCohomology:
                     for sheaf in (theta_sheaf, sheaf_of(range(n), g - 1 - n, glue)):
                         seed = rng.randrange(10**6)
                         minimal = make_minimal_family(curve, sheaf, 16, seed=seed)
-                        gluing = random_gluing_family(curve, sheaf, 16, rng)
+                        gluing = random_gluing_family(sheaf, 16, rng)
                         both = SheafFamily.make(
                             sheaf, 16, dict(gluing.gluing_series), minimal.moving
                         )
@@ -660,7 +660,7 @@ class TestLowerBound:
         sheaf = sheaf_of([0], 0, {1: 1})
         h0_value, h1_value = cohomology(curve, sheaf)
         for k in range(6):
-            family = random_gluing_family(curve, sheaf, 16, rng)
+            family = random_gluing_family(sheaf, 16, rng)
             try:
                 result = family_cohomology(curve, family, seed=k)
             except IndeterminateAtTruncation:
@@ -682,7 +682,7 @@ class TestLowerBound:
             assert h0_value >= 1
             with pytest.raises(IndeterminateAtTruncation):
                 family_contact(curve, constant_family(sheaf, 16))
-            family = random_gluing_family(curve, sheaf, 16, ZeroDraws())
+            family = random_gluing_family(sheaf, 16, ZeroDraws())
             assert h0_value <= family_contact(curve, family).theta_order <= 16
 
     def test_fiber_corank_recovers_h1_across_genera(self):
@@ -693,7 +693,7 @@ class TestLowerBound:
             glue = {j: Fraction(1) for j in range(g)}
             sheaf = sheaf_of([], g - 1, glue)
             _, h1_value = cohomology(curve, sheaf)
-            family = random_gluing_family(curve, sheaf, 16, rng)
+            family = random_gluing_family(sheaf, 16, rng)
             try:
                 result = family_cohomology(curve, family, seed=g)
             except IndeterminateAtTruncation:
@@ -883,10 +883,10 @@ class TestRoutesAgree:
     @staticmethod
     def _families(curve, sheaf, rng, seed):
         minimal = make_minimal_family(curve, sheaf, 16, seed=seed)
-        gluing = random_gluing_family(curve, sheaf, 16, rng)
+        gluing = random_gluing_family(sheaf, 16, rng)
         yield minimal
         yield gluing
-        yield random_gluing_family(curve, sheaf, 8, rng)
+        yield random_gluing_family(sheaf, 8, rng)
         # higher rungs, and past N when k * h0 > 16
         yield TestPrecisionLadder._reparametrized(minimal, rng.randint(2, 9))
         # gluing scalars and twist points moving together
@@ -941,6 +941,19 @@ class TestVerifyTheoremA:
         assert report.theta.h0 == 2
         assert report.family_order == 2
         assert report.theta.mult_theta == 2
+
+    def test_minimal_family_corank_must_equal_h0(self, monkeypatch):
+        # exponents (0, 0, 2) still sum to h0 = 2, but only one section of
+        # the fiber at t = 0 survives: contact alone would pass
+        import nodaltheta.curve as curve_module
+
+        def one_double_exponent(curve, family):
+            return replace(family_contact(curve, family), exponents=(0, 0, 2), h0_rank=1)
+
+        monkeypatch.setattr(curve_module, "family_contact", one_double_exponent)
+        curve = curve_of((0, 4), (1, 3), (-1, 5))
+        with pytest.raises(VerificationError, match="corank 1"):
+            verify_theorem_A(curve, sheaf_of([], 2, {0: 1, 1: 1, 2: 1}), 16, seed=0)
 
     def test_cohomology_of_the_point_computed_once(self, monkeypatch):
         import nodaltheta.curve as curve_module
