@@ -47,7 +47,6 @@ from .arcs import (
 )
 from .curve import (
     FamilyCohomology,
-    MovingPoint,
     RationalNodalCurve,
     SheafFamily,
     TFSheaf,
@@ -81,7 +80,6 @@ __all__ = [
     "LocalModel",
     "MinimalArc",
     "ModelElement",
-    "MovingPoint",
     "PowerSeries",
     "PreconditionError",
     "RationalNodalCurve",

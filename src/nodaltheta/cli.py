@@ -47,11 +47,11 @@ from .arcs import (
     ZArcNotFound,
 )
 from .curve import (
-    MovingPoint,
     RationalNodalCurve,
     SheafFamily,
     TFSheaf,
     cohomology,
+    constant_family,
     family_cohomology,
     make_minimal_family,
     theta_invariants,
@@ -205,18 +205,20 @@ def load_sheaf(text_or_path: str) -> TFSheaf:
 def load_family(text_or_path: str, sheaf: TFSheaf, n: int) -> SheafFamily:
     payload = _load_json(text_or_path, "family", ("glueSeries", "moving"))
     glue = _field(payload, "glueSeries", "family", dict, {})
-    gluing_series = {
-        _int_from_json(j, "family"): parse_series(_field(glue, j, "family", str), ("t",), n)
+    given = {
+        _int_from_json(j, "family"):
+            parse_series(_field(glue, j, "family", str), ("t",), n).dense()
         for j in glue
     }
-    for j, lam in sheaf.gluing:
-        gluing_series.setdefault(j, PowerSeries.univariate({0: lam}, n))
+    gluing_series = {**dict(constant_family(sheaf, n).gluing_series), **given}
     moving = []
     for entry in _field(payload, "moving", "family", list, []):
         point = _shaped(entry, dict, "family", "each moving point", ("base", "trajectory"))
         base = rational_from_json(_field(point, "base", "family"))
-        trajectory = parse_series(_field(point, "trajectory", "family", str), ("t",), n)
-        moving.append(MovingPoint(base=base, trajectory=trajectory))
+        trajectory = parse_series(_field(point, "trajectory", "family", str), ("t",), n).dense()
+        if trajectory[0] != base:
+            raise PreconditionError("family", "trajectory does not start at its base point")
+        moving.append(trajectory)
     return SheafFamily.make(sheaf, n, gluing_series, moving)
 
 
@@ -229,7 +231,10 @@ def load_images(text_or_path: str, truncation: int) -> Dict[str, PowerSeries]:
 
 
 def build_ringspec(args, truncation: int) -> RingSpec:
-    variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
+    # "" names no variable; any other list names one per comma-separated piece
+    variables = tuple(v.strip() for v in args.vars.split(",")) if args.vars.strip() else ()
+    if not all(variables):
+        raise PreconditionError("variables", f"empty variable name in {args.vars!r}")
     relations = tuple(
         parse_series(text, variables, truncation) for text in (args.rel or [])
     )
@@ -239,7 +244,7 @@ def build_ringspec(args, truncation: int) -> RingSpec:
 
 def _parse_binding(model: LocalModel, text: Optional[str]) -> Dict[str, str]:
     """Alias binding "x=u1,y=v1,z=w1": names the canonical coordinates."""
-    if not text:
+    if text is None:
         return {}
     binding = {}
     for piece in text.split(","):
@@ -356,7 +361,7 @@ def cmd_arcs_sample(args) -> dict:
     if args.vars is not None:
         spec = build_ringspec(args, working)
         powers = {}
-        if args.param:
+        if args.param is not None:
             for piece in args.param.split(","):
                 name, _, expr = piece.partition(":")
                 if not expr:
@@ -431,14 +436,14 @@ def cmd_classify(args) -> dict:
 def cmd_family(args) -> dict:
     curve = load_curve(args.curve)
     sheaf = load_sheaf(args.sheaf)
-    if args.family:
+    if args.family is not None:
         family = load_family(args.family, sheaf, args.N)
         built = "given"
     else:
         family = make_minimal_family(curve, sheaf, args.N, args.seed)
         built = "minimal"
     aux = None
-    if args.aux:
+    if args.aux is not None:
         aux = json.loads(args.aux)
         aux = [rational_from_json(v) for v in _shaped(aux, list, "aux-divisor", "--aux")]
     try:

@@ -12,7 +12,8 @@ what is known at a point of theta, its classification included, in one
 `ThetaReport`.
 
 One-parameter locally trivial families deform only the gluing scalars and
-the positions of twist points.  Restricting the theta divisor to such a
+the positions of twist points, each series a dense coefficient list over
+Q[t]/(t^(N+1)) (`SheafFamily`).  Restricting the theta divisor to such a
 family reduces to a square gluing matrix over Q[t]/(t^(N+1)) whose
 elementary divisor exponents sum to the order of contact with theta
 (`family_contact`).  `family_cohomology` reaches the same exponents through
@@ -30,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import IndeterminateAtTruncation, PreconditionError, VerificationError
 from .linalg import rank_dense
-from .series import DEFAULT_TRUNCATION, PowerSeries, clear_denominators, mul_lists
+from .series import DEFAULT_TRUNCATION, clear_denominators, exact, mul_lists
 from .smith import IntRows, dense_kernel, diagonalize
 
 DROP_RESAMPLES = 5  # random points tried per twist in `general_drop_check`
@@ -287,30 +288,30 @@ def _theta_report(sheaf: TFSheaf, h0_value: int, h1_value: int) -> ThetaReport:
 
 
 @dataclass(frozen=True)
-class MovingPoint:
-    base: Fraction
-    trajectory: PowerSeries  # univariate in t, constant term = base
-
-
-@dataclass(frozen=True)
 class SheafFamily:
     """Locally trivial one-parameter deformation of a sheaf.
 
     Only the gluing scalars move (as unit series) and twist points travel
     along trajectories; the sheaf stays pushed forward at the nonfree nodes.
+    Each series is a dense list of N + 1 coefficients by degree, N the
+    truncation; a trajectory's entry 0 is its base point.
     """
 
     sheaf: TFSheaf
     truncation: int
-    gluing_series: Tuple[Tuple[int, PowerSeries], ...]
-    moving: Tuple[MovingPoint, ...] = ()
+    gluing_series: Tuple[Tuple[int, list], ...]
+    moving: Tuple[list, ...] = ()
+
+    def __post_init__(self):
+        if self.truncation < 0:
+            raise PreconditionError("truncation", "truncation must be >= 0")
 
     @staticmethod
     def make(
         sheaf: TFSheaf,
         truncation: int,
-        gluing_series: Dict[int, PowerSeries],
-        moving: Sequence[MovingPoint] = (),
+        gluing_series: Dict[int, list],
+        moving: Sequence[list] = (),
     ) -> "SheafFamily":
         items = tuple(sorted(gluing_series.items()))
         return SheafFamily(sheaf, truncation, items, tuple(moving))
@@ -318,41 +319,35 @@ class SheafFamily:
     def validate_for(self, curve: RationalNodalCurve):
         self.sheaf.validate_for(curve)
         base_gluing = self.sheaf.gluing_map
-        series_map = dict(self.gluing_series)
-        if set(series_map) != set(base_gluing):
+        if {j for j, _ in self.gluing_series} != set(base_gluing):
             raise PreconditionError(
                 "family", "gluing series must cover exactly the free nodes"
             )
-        for j, series in series_map.items():
-            if not series.is_univariate():
-                raise PreconditionError("family", "gluing series must be univariate")
-            if series.constant_term() != base_gluing[j]:
-                raise PreconditionError(
-                    "family", f"gluing series at node {j} does not start at the base"
-                )
-            if series.truncation < self.truncation:
+        for j, series in self.gluing_series:
+            if len(series) <= self.truncation:
                 raise PreconditionError(
                     "family", f"gluing series at node {j} known below truncation"
                 )
-        bases = [m.base for m in self.moving]
+            if series[0] != base_gluing[j]:
+                raise PreconditionError(
+                    "family", f"gluing series at node {j} does not start at the base"
+                )
+        if any(len(trajectory) <= self.truncation for trajectory in self.moving):
+            raise PreconditionError("family", "trajectory known below truncation")
+        bases = [trajectory[0] for trajectory in self.moving]
         if len(set(bases)) != len(bases):
             raise PreconditionError("family", "moving twist points must be distinct")
-        node_points = set(curve.node_points())
-        for m in self.moving:
-            if m.base in node_points:
-                raise PreconditionError("family", "moving point collides with a node")
-            if m.trajectory.constant_term() != m.base:
-                raise PreconditionError(
-                    "family", "trajectory does not start at its base point"
-                )
-            if m.trajectory.truncation < self.truncation:
-                raise PreconditionError("family", "trajectory known below truncation")
+        if set(bases) & set(curve.node_points()):
+            raise PreconditionError("family", "moving point collides with a node")
+
+
+def _dense(head: list, truncation: int) -> list:
+    """The series whose lowest coefficients are `head`, as truncation + 1 entries."""
+    return [exact(c) for c in head[: truncation + 1]] + [0] * (truncation + 1 - len(head))
 
 
 def constant_family(sheaf: TFSheaf, truncation: int) -> SheafFamily:
-    gluing_series = {
-        j: PowerSeries.univariate({0: lam}, truncation) for j, lam in sheaf.gluing
-    }
+    gluing_series = {j: _dense([lam], truncation) for j, lam in sheaf.gluing}
     return SheafFamily.make(sheaf, truncation, gluing_series)
 
 
@@ -390,12 +385,11 @@ def _minimal_family(
             up = twist_by_point(up, point, 1, curve)
         if h0(curve, down) != 0 or h0(curve, up) != h0_value:
             continue
-        moving = []
-        for point in points:
-            velocity = Fraction(rng.choice([c for c in range(-9, 10) if c]))
-            trajectory = PowerSeries.univariate({0: point, 1: velocity}, truncation)
-            moving.append(MovingPoint(base=point, trajectory=trajectory))
-        return replace(constant_family(sheaf, truncation), moving=tuple(moving))
+        moving = tuple(
+            _dense([point, rng.choice([c for c in range(-9, 10) if c])], truncation)
+            for point in points
+        )
+        return replace(constant_family(sheaf, truncation), moving=moving)
     raise PreconditionError(
         "genericity-budget",
         f"no generic divisor of degree {h0_value} found in "
@@ -431,11 +425,11 @@ def _gluing_rows(
     (`_node_row`).  No such scaling changes the cokernel or its exponents.
     """
     n = truncation
-    moving = [(m.base, [-c for c in m.trajectory.dense()[1: n + 1]]) for m in family.moving]
+    moving = [(m[0], [-c for c in m[1: n + 1]]) for m in family.moving]
     rows = []
     for j, lam_series in family.gluing_series:
         p, q = curve.nodes[j]
-        (right,), lam_scale = clear_denominators([lam_series.dense()[: n + 1]])
+        (right,), lam_scale = clear_denominators([lam_series[: n + 1]])
         scalar = Fraction(1, lam_scale)
         for e in aux:
             scalar = scalar * (p - e) / (q - e)
@@ -555,7 +549,7 @@ def family_cohomology(
     _require_family(curve, family)
     g = curve.genus
     ncols = family.sheaf.line_degree + g + 1
-    avoid = set(curve.node_points()) | {m.base for m in family.moving}
+    avoid = set(curve.node_points()) | {m[0] for m in family.moving}
     if aux_points is None:
         aux = _draw_points(random.Random(seed), avoid, g)
     else:
@@ -574,21 +568,19 @@ def family_cohomology(
 
 
 def random_gluing_family(sheaf: TFSheaf, truncation: int, rng: random.Random) -> SheafFamily:
-    """Random locally trivial deformation of the gluing scalars."""
-    gluing_series = {}
-    any_motion = False
-    for j, lam in sheaf.gluing:
-        coefficients = {0: lam}
-        for degree in (1, 2, 3):
-            c = rng.randint(-4, 4)
-            if c:
-                coefficients[degree] = Fraction(c) * lam
-                any_motion = True
-        gluing_series[j] = PowerSeries.univariate(coefficients, truncation)
-    if not any_motion and sheaf.gluing:
+    """Random locally trivial deformation of the gluing scalars: each lambda
+    moves as lambda (1 + c1 t + c2 t^2 + c3 t^3), c drawn from -4..4, or the
+    first as lambda (1 + t) if every c is 0, decided before the cut to N."""
+    gluing_series = {
+        j: [c * lam for c in [1] + [rng.randint(-4, 4) for _ in range(3)]]
+        for j, lam in sheaf.gluing
+    }
+    if sheaf.gluing and not any(c for s in gluing_series.values() for c in s[1:]):
         j, lam = sheaf.gluing[0]
-        gluing_series[j] = PowerSeries.univariate({0: lam, 1: lam}, truncation)
-    return SheafFamily.make(sheaf, truncation, gluing_series)
+        gluing_series[j] = [lam, lam]
+    return SheafFamily.make(
+        sheaf, truncation, {j: _dense(s, truncation) for j, s in gluing_series.items()}
+    )
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ where integral and Fractions otherwise.  A shorter list is a lower
 truncation, dividing by t^nu is a slice, `mul_lists` multiplies, `sub_mul`
 computes a - q*b in one product, `invert_list` inverts a unit,
 `clear_denominators` scales a row of them to ints and `pull_back`
-substitutes arcs.  Arc sampling, `substitute`, the curve's integer gluing
-rows and the `smith` cores all use it; `PowerSeries.dense` converts at the
-API boundary.
+substitutes arcs.  Arc sampling, `substitute`, a curve family's series,
+its integer gluing rows and the `smith` cores all use it.
+`PowerSeries.dense` converts at the boundaries: in `substitute`, in the
+`smith` adapters, and once per parsed series in `cli.load_family`.
 """
 
 from __future__ import annotations

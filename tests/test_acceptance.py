@@ -225,7 +225,7 @@ def test_criterion_6_hand_derived_family_value():
         curve = curve_of((0, 1))
         sheaf = sheaf_of([], 0, {0: 1})
         family = SheafFamily.make(
-            sheaf, 16, {0: parse_series("1 + t", ("t",), 16)}
+            sheaf, 16, {0: parse_series("1 + t", ("t",), 16).dense()}
         )
         result = family_cohomology(curve, family, aux_points=[Fraction(2)])
         assert result.theta_order == 1

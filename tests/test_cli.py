@@ -563,6 +563,31 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert diagnostic(err) == "parse"
 
+    @pytest.mark.parametrize(
+        "argv, check",
+        [
+            (FAMILY + [""], "input"),
+            (FAMILY + ['{"glueSeries":{"0":"1+t"}}', "--aux", ""], "input"),
+            (["ord", "--model", "n=1,m=1", "--f", "u1+w1^2", "--bind", ""], "bind"),
+            (["arcs-sample", "--vars", "x,y,z", "--rel", "y^2-x^3", "--f", "x-z^3",
+              "--param", ""], "parametrize"),
+            (["hs", "--vars", "x,,y", "--rel", "x*y", "--tmax", "4"], "variables"),
+        ],
+        ids=["family", "aux", "bind", "param", "vars"],
+    )
+    def test_empty_flag_value_is_not_read_as_absent(self, capsys, argv, check):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == check
+
+    def test_trajectory_that_misses_its_base_is_exit_2(self, capsys):
+        code, out, err = run(capsys, FAMILY + ['{"moving":[{"base":7,"trajectory":"8+2*t"}]}'])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "family",
+            "message": "family: trajectory does not start at its base point",
+        }
+
     def test_truncations_come_from_argv_alone(self, monkeypatch):
         # the parser is built once, its defaults are the documented ones, and
         # the environment changes no report

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from nodaltheta.curve import (
-    MovingPoint,
     RationalNodalCurve,
     SheafFamily,
     TFSheaf,
@@ -44,6 +43,17 @@ def sheaf_of(nonfree, d, glue):
 
 def tser(text, truncation=16):
     return parse_series(text, ("t",), truncation)
+
+
+def tlist(text, truncation=16):
+    """A series as the dense list a `SheafFamily` holds."""
+    return tser(text, truncation).dense()
+
+
+def series_of(coefficients, n):
+    """A dense list of a family as a `PowerSeries` mod t^(n+1), for the
+    oracles that compute on series."""
+    return PowerSeries.univariate(dict(enumerate(coefficients[: n + 1])), n)
 
 
 def int_rows(matrix):
@@ -364,12 +374,11 @@ class TestFractionFreeSmith:
         curve = curve_of((Fraction(1, 2), Fraction(7, 3)), (-2, Fraction(5, 4)), (3, 4))
         sheaf = sheaf_of([], 1, {0: Fraction(2, 3), 1: -1, 2: Fraction(5, 7)})
         gluing = {
-            0: PowerSeries.univariate({0: Fraction(2, 3), 2: Fraction(1, 5)}, 6),
-            1: PowerSeries.constant(("t",), -1, 6),
-            2: PowerSeries.constant(("t",), Fraction(5, 7), 6),
+            0: [Fraction(2, 3), 0, Fraction(1, 5), 0, 0, 0, 0],
+            1: [-1, 0, 0, 0, 0, 0, 0],
+            2: [Fraction(5, 7), 0, 0, 0, 0, 0, 0],
         }
-        point = Fraction(-7, 2)
-        moving = [MovingPoint(point, PowerSeries.univariate({0: point, 1: Fraction(1, 3)}, 6))]
+        moving = [[Fraction(-7, 2), Fraction(1, 3), 0, 0, 0, 0, 0]]
         return curve, SheafFamily.make(sheaf, 6, gluing, moving)
 
     AUX = ([], [Fraction(11, 5), Fraction(-1, 6), 9])
@@ -409,10 +418,10 @@ def gluing_rows_by_series(curve, family, aux, ncols, n):
         for e in aux:
             c *= (p - e) / (q - e)
         left = PowerSeries.constant(("t",), 1, n)
-        right = lam.truncate(n)
+        right = series_of(lam, n)
         for m in family.moving:
-            c *= (q - m.base) / (p - m.base)
-            trajectory = m.trajectory.truncate(n)
+            c *= (q - m[0]) / (p - m[0])
+            trajectory = series_of(m, n)
             left = left * (PowerSeries.constant(("t",), q, n) - trajectory)
             right = right * (PowerSeries.constant(("t",), p, n) - trajectory)
         rows.append([left.scale(p**i) - right.scale(c * q**i) for i in range(ncols)])
@@ -517,7 +526,7 @@ class TestFamilyCohomology:
         # lambda(t) = 1 + t on the one-node curve, auxiliary point z = 2:
         # sections (a + b z)/(z - 2) with a = -b(2 + 2t)/(1 + 2t) force the
         # evaluation at z = 2 to have t-order exactly 1.
-        family = SheafFamily.make(TRIVIAL, 16, {0: tser("1 + t")})
+        family = SheafFamily.make(TRIVIAL, 16, {0: tlist("1 + t")})
         result = family_cohomology(G1, family, aux_points=[Fraction(2)])
         assert result.theta_order == 1
         assert result.exponents == (1,)
@@ -528,7 +537,7 @@ class TestFamilyCohomology:
             family_cohomology(G1, constant_family(TRIVIAL, 16), seed=0)
 
     def test_seeded_aux_draw_matches_pinned_order(self):
-        family = SheafFamily.make(TRIVIAL, 16, {0: tser("1 + t")})
+        family = SheafFamily.make(TRIVIAL, 16, {0: tlist("1 + t")})
         result = family_cohomology(G1, family, seed=5)
         assert result.theta_order == 1
 
@@ -563,7 +572,7 @@ class TestFamilyCohomology:
                             sheaf, 16, dict(gluing.gluing_series), minimal.moving
                         )
                         for family in (minimal, gluing, both):
-                            avoid = {m.base for m in family.moving}
+                            avoid = {m[0] for m in family.moving}
                             avoid |= set(curve.node_points())
                             aux = _draw_points(random.Random(seed), avoid, g)
                             ncols = sheaf.line_degree + g + 1
@@ -574,17 +583,15 @@ class TestFamilyCohomology:
         # that is the divisor `family_cohomology` draws from the seed
         curve, sheaf = symmetric_point(5, 1)
         family = make_minimal_family(curve, sheaf, 16, seed=3)
-        avoid = set(curve.node_points()) | {m.base for m in family.moving}
+        avoid = set(curve.node_points()) | {m[0] for m in family.moving}
         drawn = family_cohomology(curve, family, seed=4).aux_points
         assert drawn == tuple(_draw_points(random.Random(4), avoid, 5))
 
     def test_moving_twist_family(self):
         sheaf = sheaf_of([0], 0, {1: 1})
         curve = curve_of((0, 1), (2, 3))
-        moving = MovingPoint(
-            base=Fraction(7), trajectory=tser("7 + t")
-        )
-        gluing = {1: tser("1")}
+        moving = tlist("7 + t")
+        gluing = {1: tlist("1")}
         family = SheafFamily.make(sheaf, 16, gluing, (moving,))
         result = family_cohomology(curve, family, seed=0)
         assert result.theta_order >= 1
@@ -759,7 +766,7 @@ class TestCokernelOracle:
                 p, q = curve.nodes[j]
                 scalar = Fraction(1)
                 for m in family.moving:
-                    scalar *= (q - m.base) / (p - m.base)
+                    scalar *= (q - m[0]) / (p - m[0])
                 for e in result.aux_points:
                     scalar *= (p - e) / (q - e)
                 numerator = PowerSeries.constant(("t",), 1, n)
@@ -767,8 +774,8 @@ class TestCokernelOracle:
                 for m in family.moving:
                     pc = PowerSeries.univariate({0: p}, n)
                     qc = PowerSeries.univariate({0: q}, n)
-                    numerator = numerator * (pc - m.trajectory.truncate(n))
-                    denominator = denominator * (qc - m.trajectory.truncate(n))
+                    numerator = numerator * (pc - series_of(m, n))
+                    denominator = denominator * (qc - series_of(m, n))
                 twisted = (
                     PowerSeries.univariate({0: lam}, n)
                     * numerator
@@ -812,12 +819,7 @@ class TestPrecisionLadder:
     @staticmethod
     def _reparametrized(family, k):
         moving = [
-            MovingPoint(
-                base=m.base,
-                trajectory=PowerSeries.univariate(
-                    {0: m.base, k: m.trajectory.coefficient((1,))}, family.truncation
-                ),
-            )
+            PowerSeries.univariate({0: m[0], k: m[1]}, family.truncation).dense()
             for m in family.moving
         ]
         return SheafFamily.make(
@@ -1010,10 +1012,29 @@ class TestVerifyTheoremA:
 class TestFamilyValidation:
     def test_gluing_series_must_start_at_base(self):
         with pytest.raises(PreconditionError):
-            SheafFamily.make(TRIVIAL, 16, {0: tser("2 + t")}).validate_for(G1)
+            SheafFamily.make(TRIVIAL, 16, {0: tlist("2 + t")}).validate_for(G1)
 
     def test_moving_point_cannot_sit_on_node(self):
-        moving = MovingPoint(base=Fraction(0), trajectory=tser("t"))
-        family = SheafFamily.make(TRIVIAL, 16, {0: tser("1")}, (moving,))
+        family = SheafFamily.make(TRIVIAL, 16, {0: tlist("1")}, (tlist("t"),))
         with pytest.raises(PreconditionError):
+            family.validate_for(G1)
+
+    def test_negative_truncation_refused(self):
+        with pytest.raises(PreconditionError, match="truncation must be >= 0") as info:
+            SheafFamily.make(TRIVIAL, -1, {0: [1]})
+        assert info.value.name == "truncation"
+
+    @pytest.mark.parametrize(
+        "gluing, moving, message",
+        [
+            ({0: [1, 1]}, (), "gluing series at node 0 known below truncation"),
+            ({0: tlist("1")}, ([7, 1],), "trajectory known below truncation"),
+            ({0: tlist("1")}, (tlist("7 + t"), tlist("7 + t^2")), "must be distinct"),
+        ],
+    )
+    def test_lists_shorter_than_the_truncation_or_repeated_bases_refused(
+        self, gluing, moving, message
+    ):
+        family = SheafFamily.make(TRIVIAL, 16, gluing, moving)
+        with pytest.raises(PreconditionError, match=message):
             family.validate_for(G1)
