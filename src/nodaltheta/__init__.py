@@ -11,7 +11,7 @@ paper's formula evaluated at (n, h0).
 """
 
 from .errors import IndeterminateAtTruncation, PreconditionError, VerificationError
-from .series import INFINITE, LeadingForm, PowerSeries
+from .series import PowerSeries
 from .parsing import parse_series
 from .localmodel import (
     BranchOrder,
@@ -74,9 +74,7 @@ __all__ = [
     "BranchSum",
     "FamilyCohomology",
     "HilbertSamuelTable",
-    "INFINITE",
     "IndeterminateAtTruncation",
-    "LeadingForm",
     "LocalModel",
     "MinimalArc",
     "ModelElement",

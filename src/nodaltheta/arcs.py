@@ -3,9 +3,10 @@
 An arc is a ring map into k[[t]]/(t^(N+1)) centered at the origin.  On a
 standard model the node relations force one of u_i, v_i to map to zero at
 each node.  The contact order of a divisor along an arc is the t-order of
-the pulled-back equation; an arc lying inside the divisor (zero pull-back to
-truncation) is a distinguished outcome, not an exception, since sampling
-must be able to skip it while direct queries report it.
+the pulled-back equation.  `arc_contact` reports an arc lying inside the
+divisor (zero pull-back to truncation) as `ArcInsideDivisor`, a truncation
+bound rather than an error; sampling never calls it, and skips such an arc
+when its own scan reads None.
 
 One type, `Arc`, holds an arc on any ring: its images and truncation.
 `make_arc` validates one on a standard model and `make_general_arc` on a
@@ -17,9 +18,9 @@ Sampling runs in one loop on dense coefficient lists (`series.pull_back`),
 with the divisor compiled once per call, denominators cleared.  Coefficient
 d of a pull-back depends only on the images' coefficients of degree <= d, so
 the pull-back to k < n is the first k + 1 coefficients of the one to n.  The
-contact is therefore read from a ladder of truncations k = ord(f),
-2 ord(f), ... (at least 1), capped at n; an arc is inside the divisor only
-when the rung k = n is zero too.  Most arcs stop at the first rung.
+contact is therefore read from the rungs k of `series.ladder(ord f, n)`;
+an arc is inside the divisor only when the rung k = n is zero too.  Most
+arcs stop at the first rung.
 
 Through a parametrization (listed variables as series in one auxiliary s,
 the others free) the relations and the divisor are composed once per call,
@@ -40,7 +41,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import PreconditionError, VerificationError
 from .localmodel import (
@@ -51,7 +52,7 @@ from .localmodel import (
     branch_variables,
 )
 from .multiplicity import RingSpec
-from .series import INFINITE, Order, PowerSeries, exact, pull_back
+from .series import PowerSeries, exact, ladder, pull_back, vanishing_order
 
 COEFF_BOX = range(-9, 10)
 _BOX_SIZE, _BOX_LOW = len(COEFF_BOX), COEFF_BOX[0]
@@ -140,7 +141,7 @@ def arc_contact(arc: Arc, divisor: PowerSeries) -> Contact:
         raise PreconditionError("zero-series", "divisor equation is zero")
     pulled = divisor.substitute(arc.images, arc.truncation)
     order = pulled.order()
-    if order is INFINITE:
+    if order is None:
         return ArcInsideDivisor(at_least=pulled.truncation + 1)
     return order
 
@@ -156,7 +157,7 @@ class MinimalArc:
 class ZArcNotFound:
     """No arc through the locally trivial locus reaches the order of f."""
 
-    best_contact: Order
+    best_contact: Optional[int]  # None: the restriction is zero to truncation
 
 
 def _evaluate(series: PowerSeries, point: Dict[str, Fraction]) -> Fraction:
@@ -181,7 +182,7 @@ def _generic_linear_arc(
     Over an infinite field a generic direction works, so failures indicate a
     degenerate input rather than bad luck.
     """
-    leading = form_series.leading_form().form
+    leading = form_series.leading_form()
     for _ in range(DIRECTION_BUDGET):
         point = {name: Fraction(rng.randint(-9, 9)) for name in directions}
         if _evaluate(leading, point) != 0:
@@ -200,11 +201,7 @@ def _linear_arc(model: LocalModel, point: Dict[str, Fraction], truncation: int) 
 
 def _require_arc_order(element: ModelElement, truncation: int) -> int:
     """The order of a vanishing element that an arc to `truncation` can attain."""
-    order = element.order()
-    if order is INFINITE:
-        raise PreconditionError("zero-series", "element is zero to truncation")
-    if order == 0:
-        raise PreconditionError("unit", "element does not vanish at the origin")
+    order = vanishing_order(element.series, "element")
     if truncation < order:
         raise PreconditionError(
             "truncation", f"arc truncation {truncation} below order {order}"
@@ -261,7 +258,7 @@ def minimal_arc_through_Z(
     node_vars = [name for pair in model.node_pairs() for name in pair]
     restricted = element.series.zero_out(node_vars)
     z_order = restricted.order()
-    if z_order is INFINITE or z_order > order:
+    if z_order is None or z_order > order:
         return ZArcNotFound(best_contact=z_order)
     rng = random.Random(seed)
     direction = _generic_linear_arc(restricted, model.smooth_variables(), rng)
@@ -301,10 +298,6 @@ class ArcSampleReport:
 def _compile(series: PowerSeries, names: Tuple[str, ...]) -> list:
     """`series` as `pull_back` terms, exponents over `names`, denominators
     cleared: a nonzero scalar changes no t-order and no vanishing."""
-    known = set(names)
-    missing = [v for v in series.variables if v not in known]
-    if missing:
-        raise PreconditionError("substitute", f"no image for variables {missing}")
     scale = lcm(*(c.denominator for c in series.coefficients.values()))
     position = {v: i for i, v in enumerate(series.variables)}
     return [
@@ -313,16 +306,16 @@ def _compile(series: PowerSeries, names: Tuple[str, ...]) -> list:
     ]
 
 
-def _first_nonzero(terms: list, arc: list, order: int, n: int) -> Optional[int]:
+def _first_nonzero(terms: list, arc: list, rungs: Iterable[int]) -> Optional[int]:
     """Degree of the first nonzero coefficient of `pull_back(terms, arc, n)`,
-    None if all are zero.  Rungs k = order, 2·order, ... (at least 1, at most
-    n): the pull-back to k is the first k + 1 coefficients of the one to n."""
-    k = min(max(order, 1), n)
-    while True:
+    None if all are zero.  `rungs` is `ladder(order, n)`, built once per
+    sampling call: the pull-back to k is the first k + 1 coefficients of the
+    one to n."""
+    for k in rungs:
         contact = next((d for d, c in enumerate(pull_back(terms, arc, k)) if c), None)
-        if contact is not None or k == n:
+        if contact is not None:
             return contact
-        k = min(2 * k, n)
+    return None
 
 
 def _check_request(count: int, truncation: int) -> None:
@@ -340,12 +333,13 @@ def _sample(
     lists in `names` order, truncation + 1 long, zero constant term.  Arcs
     inside the divisor (to truncation) are skipped; a contact below the order
     would contradict the lower bound and raises loudly."""
-    terms, n = _compile(divisor, names), min(truncation, divisor.truncation)
+    terms = _compile(divisor, names)
+    rungs = tuple(ladder(order, min(truncation, divisor.truncation)))
     rng = random.Random(seed)
     used = skipped = 0
     minimum: Optional[int] = None
     for _ in range(count):
-        contact = _first_nonzero(terms, draw(rng), order, n)
+        contact = _first_nonzero(terms, draw(rng), rungs)
         if contact is None:
             skipped += 1
             continue
@@ -361,11 +355,7 @@ def sample_arcs_check(
     element: ModelElement, count: int, truncation: int, seed: int
 ) -> ArcSampleReport:
     """Draw random arcs and check contact >= ord(f) on every one."""
-    order = element.order()
-    if order is INFINITE:
-        raise PreconditionError("zero-series", "element is zero to truncation")
-    if order == 0:
-        raise PreconditionError("unit", "element does not vanish at the origin")
+    order = vanishing_order(element.series, "element")
     _check_request(count, truncation)
     names = element.model.variables
     index = {name: i for i, name in enumerate(names)}
@@ -388,7 +378,7 @@ def _compose(series: PowerSeries, images, formal, truncation: int) -> PowerSerie
     """`series` with each variable replaced by its image over `formal`, to
     total degree min(truncation, series.truncation)."""
     missing = [v for v in series.variables if v not in images]
-    if missing:
+    if missing:  # a library caller's powers not in s, or divisor off the ring
         raise PreconditionError("substitute", f"no image for variables {missing}")
     n = min(truncation, series.truncation)
     total = PowerSeries.zero(formal, n)
@@ -420,7 +410,7 @@ def sample_parametrized_arcs_check(
         if name not in spec.variables:
             raise PreconditionError("parametrize", f"unknown variable {name!r}")
     order = divisor.order()
-    if order is INFINITE:
+    if order is None:
         raise PreconditionError("zero-series", "divisor equation is zero")
     _check_request(count, truncation)
     clean = _validate_images([v for v in spec.variables if v in powers], powers, truncation)

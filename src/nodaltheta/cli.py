@@ -67,7 +67,7 @@ from .multiplicity import (
     model_ringspec,
 )
 from .parsing import parse_series
-from .series import DEFAULT_TRUNCATION, INFINITE, PowerSeries
+from .series import DEFAULT_TRUNCATION, PowerSeries
 
 # -- JSON helpers ------------------------------------------------------------
 
@@ -108,8 +108,9 @@ def _int_from_json(value, check: str) -> int:
     raise PreconditionError(check, f"expected an integer, found {value!r}")
 
 
-def order_to_json(value):
-    return "Infinite" if value is INFINITE else value
+def order_to_json(value: Optional[int]):
+    """An order of vanishing; None, zero to truncation, is written "Infinite"."""
+    return "Infinite" if value is None else value
 
 
 def canonical_json(payload: dict) -> str:
@@ -140,9 +141,12 @@ def _field(payload: dict, key: str, check: str, kind: type = object, default=Non
 
 def _load_json(text_or_path: str, check: str, keys=None) -> dict:
     """A JSON object, inline or in a file.  A malformed shape or a key outside
-    `keys`, when given, fails `check`; a path holding a NUL byte, unreadable
-    or unparsable text, and JSON nested too deep are `input` errors."""
+    `keys`, when given, fails `check`; a blank argument, a path holding a NUL
+    byte, unreadable or unparsable text, and JSON nested too deep are
+    `input` errors."""
     text = text_or_path.strip()
+    if not text:
+        raise PreconditionError("input", "empty argument")
     if not text.startswith("{"):
         if "\0" in text_or_path:
             raise PreconditionError("input", "a path cannot hold a NUL byte")

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import IndeterminateAtTruncation, PreconditionError, VerificationError
 from .linalg import rank_dense
-from .series import DEFAULT_TRUNCATION, clear_denominators, exact, mul_lists
+from .series import DEFAULT_TRUNCATION, clear_denominators, exact, ladder, mul_lists
 from .smith import IntRows, dense_kernel, diagonalize
 
 DROP_RESAMPLES = 5  # random points tried per twist in `general_drop_check`
@@ -471,21 +471,20 @@ def _evaluate_sections(
 
 
 def _solve_on_ladder(matrix_at: Callable[[int], IntRows], n_trunc: int) -> FamilyCohomology:
-    """Diagonalize `matrix_at(w)` at w = 1, 2, 4, ..., N; the first w that resolves.
+    """Diagonalize `matrix_at(w)` on the rungs w of `ladder(1, N)`; the first
+    w that resolves.
 
     The matrix mod t^(w+1) is the reduction of the matrix mod t^(N+1), so a
     rung that resolves yields the exponents of the full computation.
     `IndeterminateAtTruncation` is raised only at N.
     """
-    precision = min(1, n_trunc)
-    while True:
+    for precision in ladder(1, n_trunc):
         try:
             exponents, h0_rank = diagonalize(matrix_at(precision), precision)
-            return FamilyCohomology(h0_rank, exponents, sum(exponents), (), precision)
         except IndeterminateAtTruncation:
-            if precision == n_trunc:
-                raise IndeterminateAtTruncation(n_trunc) from None
-        precision = min(2 * precision, n_trunc)
+            continue
+        return FamilyCohomology(h0_rank, exponents, sum(exponents), (), precision)
+    raise IndeterminateAtTruncation(n_trunc)
 
 
 def _require_family(curve: RationalNodalCurve, family: SheafFamily):

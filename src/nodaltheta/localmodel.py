@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .errors import PreconditionError
 from .parsing import parse_series
-from .series import DEFAULT_TRUNCATION, INFINITE, Order, PowerSeries
+from .series import DEFAULT_TRUNCATION, PowerSeries
 
 # Branch of the normalization: one surviving side per node, "u" or "v".
 BranchIndex = Tuple[str, ...]
@@ -77,7 +77,7 @@ class ModelElement:
     model: LocalModel
     series: PowerSeries
 
-    def order(self) -> Order:
+    def order(self) -> Optional[int]:
         return self.series.order()
 
     def is_zero(self) -> bool:
@@ -130,19 +130,15 @@ def branch_project(element: ModelElement, branch: BranchIndex) -> PowerSeries:
 @dataclass(frozen=True)
 class BranchOrder:
     branch: BranchIndex
-    order: Order
-
-    @property
-    def vanishing(self) -> bool:
-        return self.order is INFINITE
+    order: Optional[int]  # None: the divisor contains the branch
 
 
 def branch_orders(element: ModelElement) -> Tuple[BranchOrder, ...]:
     """Orders of all 2^n branch projections, in canonical branch order.
 
-    A branch whose projection is identically zero (to the working truncation)
-    is reported with order INFINITE: the divisor contains that branch and
-    downstream multiplicity is undefined there.  The minimum over branches
+    A branch whose projection is zero to the working truncation is reported
+    with order None: the divisor contains that branch and downstream
+    multiplicity is undefined there.  The minimum over the other branches
     equals the order of the normal form.
     """
     if element.is_zero():

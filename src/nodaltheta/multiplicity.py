@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 from .errors import PreconditionError
 from .linalg import pivot_columns, primitive
 from .localmodel import BranchOrder, LocalModel, ModelElement, branch_orders
-from .series import DEFAULT_TRUNCATION, INFINITE, PowerSeries
+from .series import DEFAULT_TRUNCATION, PowerSeries, vanishing_order
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,9 @@ def mult_divisor_branchsum(element: ModelElement) -> BranchSum:
     all 2^n branches.  Rejected when the divisor contains a branch or does
     not pass through the origin.
     """
-    if element.is_zero():
-        raise PreconditionError("zero-series", "divisor equation is zero")
-    if element.series.constant_term() != 0:
-        raise PreconditionError("unit", "divisor equation does not vanish at the origin")
+    vanishing_order(element.series, "divisor equation")
     orders = branch_orders(element)
-    if any(b.vanishing for b in orders):
+    if any(b.order is None for b in orders):
         raise PreconditionError(
             "divisor-contains-branch",
             "divisor vanishes identically on a branch (to truncation); "
@@ -250,7 +247,6 @@ def check_eqnmat(element: ModelElement) -> InequalityReport:
     branch = mult_divisor_branchsum(element)
     ambient = mult_model(element.model)
     order = element.order()
-    assert order is not INFINITE
     return InequalityReport(
         mult_divisor=branch.total,
         mult_model=ambient,

@@ -15,6 +15,13 @@ there is no floating point anywhere.
 Values are immutable after construction and all operations are pure, so
 series are safe to share between threads.
 
+An order of vanishing is an int, or None when the series is zero to its
+truncation: None reads "at least truncation + 1", never exact vanishing,
+and every layer up to the CLI, which writes it as "Infinite", keeps that one
+reading.  `vanishing_order` refuses a zero series and a unit for the callers
+that need a proper vanishing order, and `ladder` yields the doubling working
+truncations that the family solver and arc sampling climb.
+
 The univariate ring Q[t]/(t^(N+1)) also has a dense form, the one every
 loop over it runs on: a list of N+1 coefficients indexed by degree, ints
 where integral and Fractions otherwise.  A shorter list is a lower
@@ -29,47 +36,13 @@ its integer gluing rows and the `smith` cores all use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import PreconditionError
 
 
-class InfiniteOrder:
-    """Order of a series that is zero to its truncation.
-
-    Compares greater than every integer.  Callers must read this as
-    "at least truncation + 1", never as a proof of exact vanishing.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinite"
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, InfiniteOrder)
-
-    def __gt__(self, other):
-        return not isinstance(other, InfiniteOrder)
-
-    def __ge__(self, other):
-        return True
-
-
-INFINITE = InfiniteOrder()
-
-Order = Union[int, InfiniteOrder]
 Rational = Union[Fraction, int]
 Exponent = tuple
 
@@ -157,19 +130,20 @@ class PowerSeries:
     def coefficient(self, exponent: Exponent) -> Fraction:
         return self.coefficients.get(tuple(exponent), Fraction(0))
 
-    def order(self) -> Order:
-        """Minimal total degree of a stored term; INFINITE if zero to truncation."""
+    def order(self) -> Optional[int]:
+        """Minimal total degree of a stored term; None if zero to truncation,
+        which means at least truncation + 1, never exact vanishing."""
         if not self.coefficients:
-            return INFINITE
+            return None
         return min(sum(e) for e in self.coefficients)
 
-    def leading_form(self) -> "LeadingForm":
-        """The lowest-degree homogeneous part, with its degree."""
+    def leading_form(self) -> "PowerSeries":
+        """The lowest-degree homogeneous part; its order is its degree."""
         nu = self.order()
-        if nu is INFINITE:
+        if nu is None:
             raise PreconditionError("zero-series", "zero series has no leading form")
         form = {e: c for e, c in self.coefficients.items() if sum(e) == nu}
-        return LeadingForm(nu, PowerSeries(self.variables, form, self.truncation))
+        return PowerSeries(self.variables, form, self.truncation)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -235,7 +209,7 @@ class PowerSeries:
             raise PreconditionError("exponent", "powers must be nonnegative integers")
         result = PowerSeries.constant(self.variables, 1, self.truncation)
         order = self.order()
-        if exponent and (order is INFINITE or order * exponent > self.truncation):
+        if exponent and (order is None or order * exponent > self.truncation):
             return PowerSeries.zero(self.variables, self.truncation)
         # Square and multiply: O(log exponent) products, exact in the
         # truncated ring, so the result equals the exponent-fold product.
@@ -373,6 +347,17 @@ class PowerSeries:
         return text
 
 
+def vanishing_order(series: PowerSeries, what: str) -> int:
+    """Order of a series that vanishes at the origin: `what` zero to
+    truncation fails `zero-series`, and one with a constant term `unit`."""
+    order = series.order()
+    if order is None:
+        raise PreconditionError("zero-series", f"{what} is zero to truncation")
+    if order == 0:
+        raise PreconditionError("unit", f"{what} does not vanish at the origin")
+    return order
+
+
 def exact(value: Rational) -> Rational:
     """An integral rational as an int, so dense loops stay on plain ints."""
     return int(value) if value.denominator == 1 else value
@@ -445,9 +430,12 @@ def pull_back(terms: Iterable, images: list, n: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class LeadingForm:
-    """Lowest-degree homogeneous part of a nonzero series."""
-
-    degree: int
-    form: PowerSeries
+def ladder(start: int, cap: int) -> Iterator[int]:
+    """Working truncations max(start, 1), doubled each rung, capped at `cap`;
+    the last rung is `cap` itself.  A truncated computation that resolves on
+    a rung is the reduction of the one at `cap`."""
+    k = min(max(start, 1), cap)
+    yield k
+    while k < cap:
+        k = min(2 * k, cap)
+        yield k

@@ -25,7 +25,7 @@ from nodaltheta.errors import PreconditionError
 from nodaltheta.localmodel import LocalModel, branch_orders, reduce
 from nodaltheta.multiplicity import RingSpec
 from nodaltheta.parsing import parse_series
-from nodaltheta.series import INFINITE, PowerSeries, pull_back
+from nodaltheta.series import PowerSeries, ladder, pull_back
 
 from test_multiplicity import random_clean_element
 
@@ -178,7 +178,7 @@ class TestZArcs:
         model = LocalModel(1, 0)
         result = minimal_arc_through_Z(model.element("u1 + v1"), 16, seed=0)
         assert isinstance(result, ZArcNotFound)
-        assert result.best_contact > 16
+        assert result.best_contact is None
 
     @pytest.mark.parametrize("text", ["w1^3", "u1^3 + w1^4", "0", "1 + w1"])
     def test_checks_match_minimal_arc(self, text):
@@ -331,7 +331,7 @@ def oracle_report(draw, divisor, count, truncation, seed):
     for _ in range(count):
         pulled = oracle_substitute(divisor, draw(rng), truncation)
         contact = pulled.order()
-        if contact is INFINITE:
+        if contact is None:
             skipped += 1
             continue
         used += 1
@@ -451,6 +451,14 @@ class TestDenseSamplerMatchesOracle:
             sample_parametrized_arcs_check(spec, spec.divisor, powers, 0, 16, seed=0)
         assert (early.value.name, str(early.value)) == (old.value.name, str(old.value))
 
+    def test_powers_outside_s_name_no_image(self):
+        # the hook maps the listed variables to series in s
+        spec = cusp_spec(16)
+        powers = {"x": parse_series("t^2", ("t",), 16), "y": parse_series("t^3", ("t",), 16)}
+        with pytest.raises(PreconditionError) as raised:
+            sample_parametrized_arcs_check(spec, spec.divisor, powers, 10, 16, seed=0)
+        assert raised.value.name == "substitute"
+
     @pytest.mark.parametrize(
         "variables, relation, param, divisor",
         [
@@ -530,7 +538,7 @@ class TestContactLadder:
 
         with monkeypatch.context() as patch:
             patch.setattr(arcs, "pull_back", spy)
-            contact = _first_nonzero(terms, arc, order, n)
+            contact = _first_nonzero(terms, arc, ladder(order, n))
         full = pull_back(terms, arc, n)
         assert contact == next((d for d, c in enumerate(full) if c), None)
         return contact, rungs

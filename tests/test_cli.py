@@ -580,6 +580,21 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert diagnostic(err) == check
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "--curve", "", "--sheaf", "{}"],
+            ["arc", "--model", "n=1,m=1", "--f", "u1", "--images", ""],
+            ["arc", "--model", "n=1,m=1", "--f", "u1", "--images", "  "],
+        ],
+        ids=["curve", "images", "blank-images"],
+    )
+    def test_blank_json_argument_is_not_read_as_a_path(self, capsys, argv):
+        # an empty path would name the working directory
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "input", "message": "input: empty argument"}
+
     def test_trajectory_that_misses_its_base_is_exit_2(self, capsys):
         code, out, err = run(capsys, FAMILY + ['{"moving":[{"base":7,"trajectory":"8+2*t"}]}'])
         assert (code, out) == (2, "")
