@@ -56,7 +56,6 @@ from .curve import (
     constant_family,
     family_cohomology,
     family_contact,
-    general_drop_check,
     h0,
     make_minimal_family,
     theta_invariants,
@@ -96,7 +95,6 @@ __all__ = [
     "constant_family",
     "family_cohomology",
     "family_contact",
-    "general_drop_check",
     "h0",
     "hilbert_samuel",
     "make_arc",

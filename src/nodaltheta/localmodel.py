@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Iterator, Optional, Tuple
 
 from .errors import PreconditionError
@@ -77,6 +78,13 @@ class ModelElement:
     model: LocalModel
     series: PowerSeries
 
+    def __post_init__(self):
+        if self.series.variables != self.model.variables:
+            raise PreconditionError(
+                "variable-mismatch",
+                f"series over {self.series.variables}, model has {self.model.variables}",
+            )
+
     def order(self) -> Optional[int]:
         return self.series.order()
 
@@ -90,17 +98,14 @@ def reduce(model: LocalModel, f: PowerSeries) -> ModelElement:
     The surviving monomials are linearly independent in the quotient, so the
     result is the unique normal-form representative of f's residue class.
     """
-    if f.variables != model.variables:
-        raise PreconditionError(
-            "variable-mismatch",
-            f"series over {f.variables}, model has {model.variables}",
-        )
     n = model.n
-    keep = {}
-    for exponent, coefficient in f.coefficients.items():
-        if any(exponent[i] and exponent[n + i] for i in range(n)):
-            continue
-        keep[exponent] = coefficient
+    # slices, not indices: a series over other variables reaches
+    # ModelElement's variable check instead of an IndexError
+    keep = {
+        exponent: coefficient
+        for exponent, coefficient in f.coefficients.items()
+        if not any(map(mul, exponent[:n], exponent[n:2 * n]))
+    }
     return ModelElement(model, PowerSeries(f.variables, keep, f.truncation))
 
 

@@ -10,7 +10,8 @@ Two independent routes are provided and cross-checked in the tests:
   t_max comes from one integer elimination whose columns are the standard
   monomials (those no single-term generator divides) in degree order, and
   a difference row counts as stabilized only on degrees at or above the
-  largest generator order.
+  largest generator order.  Monomials are packed into ints with a guard bit
+  per variable, so a divisibility test is one subtraction.
 
 The closed form for the standard model itself is 2^n.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import ge, mul
 from typing import List, Optional, Tuple
 
 from .errors import PreconditionError
@@ -141,13 +141,16 @@ def hilbert_samuel(spec: RingSpec, t_max: int = DEFAULT_TMAX) -> HilbertSamuelTa
     monomial as a row of its own, with those columns projected away.  An
     echelon row whose pivot has degree > t vanishes in every degree <= t, so
     H(t) is the number of standard monomials of degree <= t minus the
-    number of pivots of degree <= t.  More than MAX_COLUMNS standard
-    monomials fails the precondition `t-max`.  The dimension is the smallest
-    d whose d-th finite differences end in at least 3 equal nonzero entries,
-    and the multiplicity is that value; only entries at t >= the largest
-    generator order count, since a generator cannot act below its order
-    (entry i of the d-th differences sits at t = i + d).  With no such run
-    the table reports stabilized = False and no dimension or multiplicity.
+    number of pivots of degree <= t.  A monomial is an int with one field
+    per variable and a guard bit atop each field, so a product is a sum, a
+    column is one dict lookup and a divisibility test is one subtraction.
+    More than MAX_COLUMNS standard monomials fails the precondition `t-max`.
+    The dimension is the smallest d whose d-th finite differences end in at
+    least 3 equal nonzero entries, and the multiplicity is that value; only
+    entries at t >= the largest generator order count, since a generator
+    cannot act below its order (entry i of the d-th differences sits at
+    t = i + d).  With no such run the table reports stabilized = False and
+    no dimension or multiplicity.
     """
     if t_max < 3:
         raise PreconditionError("t-max", "t_max must be at least 3")
@@ -159,41 +162,63 @@ def hilbert_samuel(spec: RingSpec, t_max: int = DEFAULT_TMAX) -> HilbertSamuelTa
                 f"generator known only to degree {g.truncation} < t_max {t_max}",
             )
     nvars = len(spec.variables)
-    walls = [next(iter(g.coefficients)) for g in generators if len(g.coefficients) == 1]
+    # A monomial is an int with one field per variable, each
+    # t_max.bit_length() + 1 bits wide: the top bit of a field is its guard
+    # bit, and the rest holds any exponent up to t_max.  With every guard
+    # set, subtracting a wall clears the guard of each field where the wall's
+    # exponent is larger and borrows across no field, so the wall divides
+    # the monomial exactly when every guard survives.
+    width = t_max.bit_length() + 1
+    guard = sum(1 << (width * (i + 1) - 1) for i in range(nvars))
+
+    def pack(exponent):
+        return sum(e << (width * i) for i, e in enumerate(exponent))
+
+    # A wall of degree > t_max divides no monomial of degree <= t_max, and
+    # its exponents could overflow a field, so it is left out.
+    walls = [
+        next(iter(g.coefficients)) for g in generators
+        if len(g.coefficients) == 1 and g.order() <= t_max
+    ]
     others = [g for g in generators if len(g.coefficients) > 1]
     # a monomial generator dividing x_i * (a standard monomial) contains x_i
-    walls_through = [[w for w in walls if w[i]] for i in range(nvars)]
-    # Exponents packed as base-(t_max + 1) digits, so a product is a sum; no
-    # digit overflows, since only products of degree <= t_max are looked up.
-    weights = [(t_max + 1) ** i for i in range(nvars)]
-    # (code, degree, exponent, last raised variable), breadth first and so in
-    # degree order; raising from the last raised variable on makes each once.
-    standard = [(0, 0, (0,) * nvars, 0)]
-    for code, degree, mono, last in standard:
+    walls_through = [[pack(w) for w in walls if w[i]] for i in range(nvars)]
+    units = [1 << (width * i) for i in range(nvars)]
+    # (code, degree, last raised variable), breadth first and so in degree
+    # order; raising from the last raised variable on makes each once.
+    standard = [(0, 0, 0)]
+    for code, degree, last in standard:
         if degree == t_max:
             break
         for i in range(last, nvars):
-            raised = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-            if not any(all(map(ge, raised, w)) for w in walls_through[i]):
-                standard.append((code + weights[i], degree + 1, raised, i))
+            raised = code + units[i]
+            guarded = raised | guard
+            for wall in walls_through[i]:
+                if (guarded - wall) & guard == guard:
+                    break
+            else:
+                standard.append((raised, degree + 1, i))
         if len(standard) > MAX_COLUMNS:
             raise PreconditionError(
                 "t-max", f"more than {MAX_COLUMNS} standard monomials up to degree {t_max}"
             )
-    column = {code: index for index, (code, *_) in enumerate(standard)}
-    degrees = [degree for _, degree, _, _ in standard]
+    column = {code: index for index, (code, _, _) in enumerate(standard)}
+    degrees = [degree for _, degree, _ in standard]
 
     rows = []
     for g in others:
-        terms = [
-            (sum(e), sum(map(mul, e, weights)), c)
-            for e, c in primitive(g.coefficients).items()
-        ]
+        terms = [(sum(e), pack(e), c) for e, c in primitive(g.coefficients).items()]
+        # fitting[k]: the terms still of degree <= t_max after a shift of
+        # degree k.  A term of degree > t_max packs to a meaningless code,
+        # which is never looked up: it fits after no shift.
+        fitting = [[(e, c) for d, e, c in terms if d <= t_max - k] for k in range(t_max + 1)]
         for code, degree in zip(column, degrees):
-            fits = [(code + e, c) for d, e, c in terms if d <= t_max - degree]
+            fits = fitting[degree]
             if not fits:
                 break  # degrees only grow, so no later shift fits either
-            row = {column[k]: c for k, c in fits if k in column}
+            row = {
+                col: c for e, c in fits if (col := column.get(code + e)) is not None
+            }
             if row:
                 rows.append(row)
 

@@ -8,13 +8,14 @@ from nodaltheta.curve import (
     TFSheaf,
     _condition_rows,
     cohomology,
-    general_drop_check,
     h0,
     theta_invariants,
     twist_by_point,
 )
 from nodaltheta.errors import PreconditionError
 from nodaltheta.linalg import rank_dense
+
+from drop_check import general_drop_check
 
 
 def curve_of(*pairs):

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from nodaltheta.arcs import sample_arcs_check
 from nodaltheta.errors import PreconditionError
 from nodaltheta.localmodel import (
     MAX_BRANCH_NODES,
     LocalModel,
+    ModelElement,
     branch_orders,
     branch_project,
     branch_variables,
@@ -46,6 +48,27 @@ class TestModel:
             ("v", "u"),
             ("v", "v"),
         ]
+
+
+class TestModelElement:
+    @pytest.mark.parametrize("names", [("x",), ("u1", "v1", "x"), ("v1", "u1", "w1")])
+    def test_series_over_other_variables_rejected(self, names):
+        model = LocalModel(1, 1)
+        f = parse_series(names[0], names, 16)
+        for build in (ModelElement, reduce):
+            with pytest.raises(PreconditionError) as info:
+                build(model, f)
+            assert info.value.name == "variable-mismatch"
+            assert str(info.value).endswith(
+                f"series over {names}, model has {model.variables}"
+            )
+
+    def test_sample_arcs_check_names_the_mismatch(self):
+        with pytest.raises(PreconditionError) as info:
+            sample_arcs_check(
+                ModelElement(LocalModel(1, 1), parse_series("x", ("x",), 16)), 5, 8, 0
+            )
+        assert info.value.name == "variable-mismatch"
 
 
 class TestReduce:

@@ -270,6 +270,29 @@ class TestStandardMonomials:
                         full_elimination_hilbert_function(ring, t_max)
                     ), (n, m, t_max, ring.divisor)
 
+    @pytest.mark.parametrize(
+        "names, relations, divisor, t_max, truncation",
+        [
+            # t_max.bit_length() steps up at 4, 8 and 16, and with it the
+            # width of a packed field; x^t_max fills its field to the guard
+            *[("xyz", ["x*y^2", f"x^{t}"], "y^3 - z^2 + x*z", t, t)
+              for t in (3, 4, 7, 8, 15, 16)],
+            ("xyz", ["x^8"], "y^2 - x*z", 8, 12),  # a wall of exponent exactly t_max
+            ("xyz", ["x^4*y^5"], "y^2 - x*z", 8, 12),  # a wall of degree t_max + 1
+            # z^20 would overflow its 5-bit field; z is the last variable, so
+            # the borrow out of its field would escape every guard
+            ("xyz", ["z^20"], "x^2 - y*z", 8, 20),
+            ("xyz", ["x^2*y^3*z"], "x*y - z^2 + y^3", 9, 12),  # a mixed wall
+            ("abcde", ["a*b", "c^2*d", "b*e^3"], "a + e^2 - b*c", 7, 12),
+            ("abcdef", ["a*b", "c*d", "e^2*f"], "a - c + f^2 - b*e", 6, 12),
+        ],
+    )
+    def test_packed_field_boundaries(self, names, relations, divisor, t_max, truncation):
+        ring = spec(tuple(names), relations, divisor, truncation)
+        assert hilbert_samuel(ring, t_max).values == (
+            full_elimination_hilbert_function(ring, t_max)
+        )
+
     def test_too_many_columns_rejected(self):
         names = ("a", "b", "c", "d", "e", "f")
         with pytest.raises(PreconditionError) as info:
