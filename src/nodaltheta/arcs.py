@@ -18,9 +18,11 @@ Sampling runs in one loop on dense coefficient lists (`series.pull_back`),
 with the divisor compiled once per call, denominators cleared.  Coefficient
 d of a pull-back depends only on the images' coefficients of degree <= d, so
 the pull-back to k < n is the first k + 1 coefficients of the one to n.  The
-contact is therefore read from the rungs k of `series.ladder(ord f, n)`;
-an arc is inside the divisor only when the rung k = n is zero too.  Most
-arcs stop at the first rung.
+contact is therefore read from the rungs k of `series.ladder(start, n)`,
+where start is the least degree of the series actually pulled back (on a
+model ord f, through a parametrization the composed divisor's), below which
+no arc has contact; an arc is inside the divisor only when the rung k = n is
+zero too.  Most arcs stop at the first rung.
 
 Through a parametrization (listed variables as series in one auxiliary s,
 the others free) the relations and the divisor are composed once per call,
@@ -308,7 +310,7 @@ def _compile(series: PowerSeries, names: Tuple[str, ...]) -> list:
 
 def _first_nonzero(terms: list, arc: list, rungs: Iterable[int]) -> Optional[int]:
     """Degree of the first nonzero coefficient of `pull_back(terms, arc, n)`,
-    None if all are zero.  `rungs` is `ladder(order, n)`, built once per
+    None if all are zero.  `rungs` is `ladder(start, n)`, built once per
     sampling call: the pull-back to k is the first k + 1 coefficients of the
     one to n."""
     for k in rungs:
@@ -334,7 +336,8 @@ def _sample(
     inside the divisor (to truncation) are skipped; a contact below the order
     would contradict the lower bound and raises loudly."""
     terms = _compile(divisor, names)
-    rungs = tuple(ladder(order, min(truncation, divisor.truncation)))
+    start = min((sum(e) for e, _ in terms), default=order)  # no arc's contact is lower
+    rungs = tuple(ladder(start, min(truncation, divisor.truncation)))
     rng = random.Random(seed)
     used = skipped = 0
     minimum: Optional[int] = None

@@ -425,18 +425,6 @@ def cmd_theta(args) -> dict:
     return _theta_payload(theta_invariants(curve, sheaf))
 
 
-def cmd_classify(args) -> dict:
-    curve = load_curve(args.curve)
-    sheaf = load_sheaf(args.sheaf)
-    result = theta_invariants(curve, sheaf)
-    return {
-        "onTheta": result.on_theta,
-        "inW1": result.in_w1,
-        "inBoundary": result.in_boundary,
-        "singular": result.singular,
-    }
-
-
 def cmd_family(args) -> dict:
     curve = load_curve(args.curve)
     sheaf = load_sheaf(args.sheaf)
@@ -644,7 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("curve-h0", cmd_curve_h0, "cohomology of a sheaf on a nodal curve", _add_curve_flags)
     command("theta", cmd_theta, "theta multiplicity report at a sheaf", _add_curve_flags)
-    command("classify", cmd_classify, "theta singular-locus classification", _add_curve_flags)
 
     p = command(
         "family", cmd_family, "contact of a one-parameter family with theta", _add_curve_flags

@@ -28,8 +28,9 @@ where integral and Fractions otherwise.  A shorter list is a lower
 truncation, dividing by t^nu is a slice, `mul_lists` multiplies, `sub_mul`
 computes a - q*b in one product, `invert_list` inverts a unit,
 `clear_denominators` scales a row of them to ints and `pull_back`
-substitutes arcs.  Arc sampling, `substitute`, a curve family's series,
-its integer gluing rows and the `smith` cores all use it.
+substitutes arcs, whose images must have a zero constant term.  Arc
+sampling, `substitute`, a curve family's series, its integer gluing rows
+and the `smith` cores all use it.
 `PowerSeries.dense` converts at the boundaries: in `substitute`, in the
 `smith` adapters, and once per parsed series in `cli.load_family`.
 """
@@ -406,27 +407,34 @@ def pull_back(terms: Iterable, images: list, n: int) -> list:
     """Dense coefficients of sum c * prod_i images[i]^e_i modulo t^(n+1).
 
     `terms` holds (exponent, coefficient) pairs; `images` holds one dense
-    list per exponent position, at least n + 1 long.  Unchecked: callers
-    validate (`PowerSeries.substitute`) or build valid input (arc sampling).
+    list per exponent position, at least n + 1 long, and images[i][0] == 0
+    is required: a nonzero constant term is silently dropped.  Each image
+    is t times its shift image[1:], so a term of total degree d is
+    c * t^d times a product of shifts, needed only to degree n - d: a term
+    with d > n adds nothing, one with d = n adds c times a product of linear
+    coefficients, and a shift's e-th power is kept to degree n - e.
+    Unchecked: callers validate (`PowerSeries.substitute`) or build valid
+    input (arc sampling).
     """
-    images = [image[: n + 1] for image in images]
-    powers: dict = {}
+    shifts = [image[1 : n + 1] for image in images]
+    powers: dict = {}  # powers[i][k] = shifts[i]^(k+1) to degree n - k - 1
     out = [0] * (n + 1)
     for exponent, coefficient in terms:
-        term = None
+        d = sum(exponent)
+        if d > n:
+            continue
+        term = None  # the product of shifts to degree n - d; None for [1]
         for i, e in enumerate(exponent):
             if not e:
                 continue
-            chain = powers.setdefault(i, [images[i]])  # chain[k] = images[i]^(k+1)
+            chain = powers.setdefault(i, [shifts[i]])
             while len(chain) < e:
-                chain.append(mul_lists(chain[-1], images[i], n))
-            term = chain[e - 1] if term is None else mul_lists(term, chain[e - 1], n)
-            if not any(term):
-                break
-        else:
-            for d, x in enumerate(term or [1]):  # None: a constant term
-                if x:
-                    out[d] += coefficient * x
+                chain.append(mul_lists(chain[-1], shifts[i], n - len(chain) - 1))
+            power = chain[e - 1]
+            term = power[: n - d + 1] if term is None else mul_lists(term, power, n - d)
+        for k, x in enumerate(term or [1], d):
+            if x:
+                out[k] += coefficient * x
     return out
 
 

@@ -550,6 +550,40 @@ class TestContactLadder:
             out[d] = c
         return out
 
+    @staticmethod
+    def sampled_rungs(monkeypatch, check, *args):
+        """The report of `check(*args)` and the truncations it pulled back at."""
+        rungs = []
+
+        def spy(terms, images, k):
+            rungs.append(k)
+            return pull_back(terms, images, k)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(arcs, "pull_back", spy)
+            report = check(*args)
+        return report, rungs
+
+    def test_sampling_starts_at_the_least_degree_pulled_back(self, monkeypatch):
+        # y -> s^3 and z is free, so y - 2 z^3 composes to s^3 - 2 z^3: every
+        # arc has contact >= 3 > ord = 1, and the first rung is 3.
+        spec = RingSpec(
+            XYZ, (parse_series("y^2 - x^3", XYZ, 16),), parse_series("y - 2*z^3", XYZ, 16)
+        )
+        powers = cusp_powers("x:s^2,y:s^3", 16)
+        report, rungs = self.sampled_rungs(
+            monkeypatch, sample_parametrized_arcs_check, spec, spec.divisor, powers, 30, 16, 3
+        )
+        assert (rungs[0], min(rungs), report.order) == (3, 3, 1)
+        draw = oracle_parametrized_draw(spec, powers, 16)
+        assert report == oracle_report(draw, spec.divisor, 30, 16, 3)
+        # on a model the series pulled back is f itself: the first rung is ord f
+        model = LocalModel(1, 1)
+        f = model.element("w1^2 - u1^3 + 1/2*v1^2*w1", 12)
+        report, rungs = self.sampled_rungs(monkeypatch, sample_arcs_check, f, 30, 12, 4)
+        assert (rungs[0], min(rungs), report.order) == (2, 2, 2)
+        assert report == oracle_report(oracle_model_draw(model, 12), f.series, 30, 12, 4)
+
     def test_cusp_contact_three_needs_two_more_rungs(self, monkeypatch):
         spec = RingSpec(
             XYZ, (parse_series("y^2 - x^3", XYZ, 16),), parse_series("y - 2*z^3", XYZ, 16)

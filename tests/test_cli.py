@@ -534,7 +534,7 @@ class TestExitCodes:
         }
         for point in ("inf", " Infinity"):
             curve = json.dumps({"nodes": [[0, point]]})
-            for command in ("curve-h0", "theta", "classify", "family", "verify-A"):
+            for command in ("curve-h0", "theta", "family", "verify-A"):
                 code, out, err = run(
                     capsys, [command, "--curve", curve, "--sheaf", SHEAF_TRIVIAL]
                 )
@@ -722,7 +722,7 @@ class TestInputForms:
         assert json.loads(out)["contact"] == 1
 
     def test_dispatch_matches_main_output(self, capsys):
-        argv = ["classify", "--curve", CURVE_G1, "--sheaf", SHEAF_TRIVIAL]
+        argv = ["theta", "--curve", CURVE_G1, "--sheaf", SHEAF_TRIVIAL]
         payload = dispatch(argv)
         code, out, _ = run(capsys, argv)
         assert code == 0

@@ -38,7 +38,7 @@ VALID = [
         "--sheaf", '{"nonfree":[0],"dL":0,"glue":{"1":1}}', "--families", "1",
     ],
     [
-        "classify", "--curve", '{"nodes":[["1/2","3/2"],[2,5]]}',
+        "theta", "--curve", '{"nodes":[["1/2","3/2"],[2,5]]}',
         "--sheaf", '{"nonfree":[0],"dL":0,"glue":{"1":"2/3"}}',
     ],
 ]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nodaltheta import series
 from nodaltheta.errors import PreconditionError
 from nodaltheta.parsing import parse_series
 from nodaltheta.series import (
@@ -10,6 +11,7 @@ from nodaltheta.series import (
     invert_list,
     ladder,
     mul_lists,
+    pull_back,
     sub_mul,
     vanishing_order,
 )
@@ -275,3 +277,62 @@ class TestDenseCore:
             c = random_univariate(rng, rng.randint(0, 8))
             difference = sub_mul(c.dense(), a.dense(), b.dense())
             assert difference == (c - a * b).dense()
+
+
+class TestPullBack:
+    @staticmethod
+    def reference(terms, images, n):
+        """sum c * prod images[i]^e_i by `PowerSeries` products, which never
+        call `mul_lists`, as n + 1 coefficients."""
+        factors = [PowerSeries.univariate(dict(enumerate(image)), n) for image in images]
+        total = PowerSeries.zero(("t",), n)
+        for exponent, coefficient in terms:
+            term = PowerSeries.constant(("t",), coefficient, n)
+            for factor, e in zip(factors, exponent):
+                term = term * factor ** e
+            total = total + term
+        return [total.coefficient((d,)) for d in range(n + 1)]
+
+    @staticmethod
+    def random_image(rng, length):
+        if rng.random() < 0.2:
+            return [0] * length  # the side of a node that an arc kills
+        entries = [0, 0, 1, -1, 3, Fraction(-2, 3), Fraction(5, 4)]
+        return [0] + [rng.choice(entries) for _ in range(length - 1)]
+
+    def test_agrees_with_series_products(self):
+        rng = random.Random(27)
+        for trial in range(400):
+            n = trial % 11  # n = 0 included
+            k = rng.randint(1, 4)
+            images = [self.random_image(rng, n + 1 + rng.randint(0, 3)) for _ in range(k)]
+            terms = [((0,) * k, rng.choice([2, Fraction(-1, 2)]))]  # a constant term
+            for _ in range(rng.randint(0, 5)):
+                exponent = tuple(rng.randint(0, 3) for _ in range(k))  # degree > n too
+                terms.append((exponent, rng.choice([1, -4, Fraction(7, 3)])))
+            assert pull_back(terms, images, n) == self.reference(terms, images, n)
+
+    def test_shared_powers_degree_n_and_above(self):
+        # x^2, x^3 and x^3*y share the cached powers of x; x^2*y^2 has degree
+        # n = 4 and adds its linear coefficients only; x^3*y^2 has degree 5 > n.
+        x, y = [0, 1, Fraction(1, 2), 2, -1], [0, 3, 0, 1, 5]
+        terms = [
+            ((0, 0), Fraction(1, 3)), ((2, 0), 1), ((3, 0), -2), ((3, 1), 5),
+            ((2, 2), Fraction(2, 7)), ((3, 2), 11),
+        ]
+        out = pull_back(terms, [x, y], 4)
+        assert out == self.reference(terms, [x, y], 4)
+        assert out[0] == Fraction(1, 3)
+        assert pull_back(terms, [x, y], 0) == [Fraction(1, 3)]
+
+    def test_term_above_n_multiplies_nothing(self, monkeypatch):
+        calls = []
+
+        def spy(a, b, n):
+            calls.append(n)
+            return mul_lists(a, b, n)
+
+        monkeypatch.setattr(series, "mul_lists", spy)
+        image = [0] + [1] * 8
+        assert pull_back([((1000,), 1)], [image], 8) == [0] * 9
+        assert calls == []
