@@ -33,7 +33,6 @@ from .multiplicity import (
 )
 from .arcs import (
     Arc,
-    ArcInsideDivisor,
     ArcSampleReport,
     MinimalArc,
     ZArcNotFound,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arc",
-    "ArcInsideDivisor",
     "ArcSampleReport",
     "BranchOrder",
     "BranchSum",

@@ -3,10 +3,10 @@
 An arc is a ring map into k[[t]]/(t^(N+1)) centered at the origin.  On a
 standard model the node relations force one of u_i, v_i to map to zero at
 each node.  The contact order of a divisor along an arc is the t-order of
-the pulled-back equation.  `arc_contact` reports an arc lying inside the
-divisor (zero pull-back to truncation) as `ArcInsideDivisor`, a truncation
-bound rather than an error; sampling never calls it, and skips such an arc
-when its own scan reads None.
+the pulled-back equation.  `arc_contact` returns None for an arc lying
+inside the divisor (zero pull-back to truncation): contact at least
+truncation + 1, a truncation bound rather than an error.  Sampling skips
+such an arc.
 
 One type, `Arc`, holds an arc on any ring: its images and truncation.
 `make_arc` validates one on a standard model and `make_general_arc` on a
@@ -14,15 +14,16 @@ One type, `Arc`, holds an arc on any ring: its images and truncation.
 Arbitrary rings get arcs only through given images or user
 parametrizations: there is no general arc-lifting solver here.
 
-Sampling runs in one loop on dense coefficient lists (`series.pull_back`),
-with the divisor compiled once per call, denominators cleared.  Coefficient
-d of a pull-back depends only on the images' coefficients of degree <= d, so
-the pull-back to k < n is the first k + 1 coefficients of the one to n.  The
-contact is therefore read from the rungs k of `series.ladder(start, n)`,
-where start is the least degree of the series actually pulled back (on a
-model ord f, through a parametrization the composed divisor's), below which
-no arc has contact; an arc is inside the divisor only when the rung k = n is
-zero too.  Most arcs stop at the first rung.
+A contact is read one way, by `arc_contact` and by sampling alike: on
+dense coefficient lists (`series.pull_back`), with the divisor compiled once
+per call, denominators cleared.  Coefficient d of a pull-back depends only
+on the images' coefficients of degree <= d, so the pull-back to k < n is
+the first k + 1 coefficients of the one to n.  The contact is therefore read
+from the rungs k of `series.ladder(start, n)` (`_rungs`), where start is the
+least degree of the series actually pulled back (on a model ord f, through
+a parametrization the composed divisor's), below which no arc has contact;
+an arc is inside the divisor only when the rung k = n is zero too.  Most
+arcs stop at the first rung.
 
 Through a parametrization (listed variables as series in one auxiliary s,
 the others free) the relations and the divisor are composed once per call,
@@ -59,17 +60,7 @@ from .series import PowerSeries, exact, ladder, pull_back, vanishing_order
 COEFF_BOX = range(-9, 10)
 _BOX_SIZE, _BOX_LOW = len(COEFF_BOX), COEFF_BOX[0]
 _BOX_BITS = _BOX_SIZE.bit_length()  # what `random.choice` draws per try
-DIRECTION_BUDGET = 400  # random directions tried by `_generic_linear_arc`
-
-
-@dataclass(frozen=True)
-class ArcInsideDivisor:
-    """The pull-back vanishes modulo t^(N+1): contact is at least N+1."""
-
-    at_least: int
-
-
-Contact = Union[int, ArcInsideDivisor]
+DIRECTION_BUDGET = 400  # random directions tried by `_minimal_linear_arc`
 
 
 @dataclass(frozen=True)
@@ -101,6 +92,9 @@ def _validate_images(variables, images, truncation) -> Dict[str, PowerSeries]:
                 f"image of {name!r} known only to degree {image.truncation} < {truncation}",
             )
         clean[name] = image.truncate(truncation)
+    over = sorted({image.variables[0] for image in clean.values()})
+    if len(over) > 1:
+        raise PreconditionError("arc", f"images over more than one variable {over}")
     return clean
 
 
@@ -137,15 +131,21 @@ def make_general_arc(
     return Arc(clean, truncation)
 
 
-def arc_contact(arc: Arc, divisor: PowerSeries) -> Contact:
-    """t-order of the divisor equation pulled back along the arc."""
+def arc_contact(arc: Arc, divisor: PowerSeries) -> Optional[int]:
+    """t-order of the divisor equation pulled back along the arc; None when
+    the pull-back is zero to n, the least of the truncations of the arc, the
+    divisor and each image: the contact is then at least n + 1."""
     if divisor.is_zero():
         raise PreconditionError("zero-series", "divisor equation is zero")
-    pulled = divisor.substitute(arc.images, arc.truncation)
-    order = pulled.order()
-    if order is None:
-        return ArcInsideDivisor(at_least=pulled.truncation + 1)
-    return order
+    missing = [v for v in divisor.variables if v not in arc.images]
+    if missing:
+        raise PreconditionError("substitute", f"no image for variables {missing}")
+    images = [arc.images[v] for v in divisor.variables]
+    if any(image.constant_term() for image in images):  # an `Arc` built unvalidated
+        raise PreconditionError("substitute", "an image has a nonzero constant term")
+    n = min([arc.truncation, divisor.truncation] + [image.truncation for image in images])
+    terms = _compile(divisor)
+    return _first_nonzero(terms, [image.dense() for image in images], _rungs(terms, n))
 
 
 @dataclass(frozen=True)
@@ -173,34 +173,6 @@ def _evaluate(series: PowerSeries, point: Dict[str, Fraction]) -> Fraction:
     return total
 
 
-def _generic_linear_arc(
-    form_series: PowerSeries,
-    directions: Tuple[str, ...],
-    rng: random.Random,
-) -> Optional[Dict[str, Fraction]]:
-    """Direction a with leading form nonvanishing at a; None after
-    `DIRECTION_BUDGET` draws.
-
-    Over an infinite field a generic direction works, so failures indicate a
-    degenerate input rather than bad luck.
-    """
-    leading = form_series.leading_form()
-    for _ in range(DIRECTION_BUDGET):
-        point = {name: Fraction(rng.randint(-9, 9)) for name in directions}
-        if _evaluate(leading, point) != 0:
-            return point
-    return None
-
-
-def _linear_arc(model: LocalModel, point: Dict[str, Fraction], truncation: int) -> Arc:
-    """Each coordinate maps to its entry of `point` (0 if absent) times t."""
-    images = {
-        name: PowerSeries.univariate({1: point.get(name, 0)}, truncation)
-        for name in model.variables
-    }
-    return make_arc(model, images, truncation)
-
-
 def _require_arc_order(element: ModelElement, truncation: int) -> int:
     """The order of a vanishing element that an arc to `truncation` can attain."""
     order = vanishing_order(element.series, "element")
@@ -209,6 +181,37 @@ def _require_arc_order(element: ModelElement, truncation: int) -> int:
             "truncation", f"arc truncation {truncation} below order {order}"
         )
     return order
+
+
+def _minimal_linear_arc(
+    element: ModelElement, order: int, form: PowerSeries, branch: BranchIndex,
+    truncation: int, seed: int,
+) -> MinimalArc:
+    """The linear arc t -> a*t on `branch` (`()` is Z: every u_i, v_i is 0),
+    checked to have contact `order` with `element`.  a is the first seeded
+    direction where the leading form of `form` is nonzero; over an infinite
+    field a generic one works, so none in `DIRECTION_BUDGET` draws means a
+    degenerate input rather than bad luck."""
+    rng, model = random.Random(seed), element.model
+    leading, directions = form.leading_form(), branch_variables(model, branch)
+    for _ in range(DIRECTION_BUDGET):
+        point = {name: Fraction(rng.randint(-9, 9)) for name in directions}
+        if _evaluate(leading, point) != 0:
+            break
+    else:
+        raise PreconditionError(
+            "arc-search",
+            "no direction found with nonvanishing leading form; "
+            "truncation too small or element vanishes on the branch",
+        )
+    images = {
+        v: PowerSeries.univariate({1: point.get(v, 0)}, truncation) for v in model.variables
+    }
+    arc = make_arc(model, images, truncation)
+    contact = arc_contact(arc, element.series)
+    if contact != order:
+        raise VerificationError(f"minimal arc contact {contact} differs from order {order}")
+    return MinimalArc(arc=arc, branch=branch, contact=contact)
 
 
 def minimal_arc(element: ModelElement, truncation: int, seed: int) -> MinimalArc:
@@ -221,7 +224,6 @@ def minimal_arc(element: ModelElement, truncation: int, seed: int) -> MinimalArc
     node it uses, and u is the least side at the others: no 2^n walk.
     """
     order = _require_arc_order(element, truncation)
-    rng = random.Random(seed)
     n = element.model.n
     branch = min(
         tuple("v" if e[n + i] else "u" for i in range(n))
@@ -229,20 +231,7 @@ def minimal_arc(element: ModelElement, truncation: int, seed: int) -> MinimalArc
         if sum(e) == order
     )
     projected = branch_project(element, branch)
-    direction = _generic_linear_arc(projected, branch_variables(element.model, branch), rng)
-    if direction is None:
-        raise PreconditionError(
-            "arc-search",
-            "no direction found with nonvanishing leading form; "
-            "truncation too small or element vanishes on the branch",
-        )
-    arc = _linear_arc(element.model, direction, truncation)
-    contact = arc_contact(arc, element.series)
-    if contact != order:
-        raise VerificationError(
-            f"minimal arc contact {contact} differs from order {order}"
-        )
-    return MinimalArc(arc=arc, branch=branch, contact=contact)
+    return _minimal_linear_arc(element, order, projected, branch, truncation, seed)
 
 
 def minimal_arc_through_Z(
@@ -262,17 +251,7 @@ def minimal_arc_through_Z(
     z_order = restricted.order()
     if z_order is None or z_order > order:
         return ZArcNotFound(best_contact=z_order)
-    rng = random.Random(seed)
-    direction = _generic_linear_arc(restricted, model.smooth_variables(), rng)
-    if direction is None:
-        raise PreconditionError("arc-search", "no generic direction on Z found")
-    arc = _linear_arc(model, direction, truncation)
-    contact = arc_contact(arc, element.series)
-    if contact != order:
-        raise VerificationError(
-            f"Z-arc contact {contact} differs from order {order}"
-        )
-    return MinimalArc(arc=arc, branch=(), contact=contact)
+    return _minimal_linear_arc(element, order, restricted, (), truncation, seed)
 
 
 def _random_list(rng: random.Random, truncation: int) -> list:
@@ -297,22 +276,25 @@ class ArcSampleReport:
     seed: int
 
 
-def _compile(series: PowerSeries, names: Tuple[str, ...]) -> list:
-    """`series` as `pull_back` terms, exponents over `names`, denominators
-    cleared: a nonzero scalar changes no t-order and no vanishing."""
+def _compile(series: PowerSeries) -> list:
+    """`series` as `pull_back` terms, exponents in `series.variables` order,
+    denominators cleared: a nonzero scalar changes no t-order and no
+    vanishing."""
     scale = lcm(*(c.denominator for c in series.coefficients.values()))
-    position = {v: i for i, v in enumerate(series.variables)}
-    return [
-        (tuple(e[position[v]] if v in position else 0 for v in names), exact(c * scale))
-        for e, c in series.coefficients.items()
-    ]
+    return [(e, exact(c * scale)) for e, c in series.coefficients.items()]
+
+
+def _rungs(terms: list, n: int) -> Tuple[int, ...]:
+    """`ladder(start, n)` from the least degree of `terms`, below which no
+    arc has contact; with no terms every rung is zero, so n alone."""
+    return tuple(ladder(min((sum(e) for e, _ in terms), default=n), n))
 
 
 def _first_nonzero(terms: list, arc: list, rungs: Iterable[int]) -> Optional[int]:
     """Degree of the first nonzero coefficient of `pull_back(terms, arc, n)`,
-    None if all are zero.  `rungs` is `ladder(start, n)`, built once per
-    sampling call: the pull-back to k is the first k + 1 coefficients of the
-    one to n."""
+    None if all are zero.  `rungs` is `_rungs(terms, n)`, built once per
+    call: the pull-back to k is the first k + 1 coefficients of the one to
+    n."""
     for k in rungs:
         contact = next((d for d, c in enumerate(pull_back(terms, arc, k)) if c), None)
         if contact is not None:
@@ -328,16 +310,15 @@ def _check_request(count: int, truncation: int) -> None:
 
 
 def _sample(
-    draw: Callable[[random.Random], list], names: Tuple[str, ...], divisor: PowerSeries,
+    draw: Callable[[random.Random], list], divisor: PowerSeries,
     order: int, count: int, truncation: int, seed: int,
 ) -> ArcSampleReport:
     """Check contact >= `order` on `count` arcs from `draw(rng)`, each dense
-    lists in `names` order, truncation + 1 long, zero constant term.  Arcs
-    inside the divisor (to truncation) are skipped; a contact below the order
-    would contradict the lower bound and raises loudly."""
-    terms = _compile(divisor, names)
-    start = min((sum(e) for e, _ in terms), default=order)  # no arc's contact is lower
-    rungs = tuple(ladder(start, min(truncation, divisor.truncation)))
+    lists in `divisor.variables` order, truncation + 1 long, zero constant
+    term.  Arcs inside the divisor (to truncation) are skipped; a contact
+    below the order would contradict the lower bound and raises loudly."""
+    terms = _compile(divisor)
+    rungs = _rungs(terms, min(truncation, divisor.truncation))
     rng = random.Random(seed)
     used = skipped = 0
     minimum: Optional[int] = None
@@ -374,7 +355,7 @@ def sample_arcs_check(
             arc[w] = _random_list(rng, truncation)
         return arc
 
-    return _sample(draw, names, element.series, order, count, truncation, seed)
+    return _sample(draw, element.series, order, count, truncation, seed)
 
 
 def _compose(series: PowerSeries, images, formal, truncation: int) -> PowerSeries:
@@ -434,4 +415,4 @@ def sample_parametrized_arcs_check(
         return [_random_list(rng, truncation) for _ in formal]
 
     composed = _compose(divisor, images, formal, truncation)
-    return _sample(draw, formal, composed, order, count, truncation, seed)
+    return _sample(draw, composed, order, count, truncation, seed)

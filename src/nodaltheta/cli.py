@@ -9,10 +9,11 @@ identical inputs and seed is byte-identical across runs.
 Input is checked in two places.  The argument parser checks that each flag
 is present and well formed, and `_refuse_idle_flags` that no mode is given
 a flag it cannot use; these errors fail the check `argv`.  Every JSON
-argument is read by `_load_json` and its keys by `_field`, which name the
-argument's check (`curve`, `sheaf`, `family`, `arc`, `aux-divisor`,
-`golden`) when a shape is wrong, a required key is missing or a key is not
-read at all; text that cannot be read or parsed is an `input` error.
+argument is read by `_parse_json` (through `_load_json` where it may name a
+file) and its keys by `_field`, which name the argument's check (`curve`,
+`sheaf`, `family`, `arc`, `aux-divisor`, `golden`) when a shape is wrong, a
+key is repeated, a required key is missing or a key is not read at all;
+text that cannot be read or parsed is an `input` error.
 
 Exit statuses, one row of `_EXITS` per exception type: 0 success, 2
 precondition or validation failure (one JSON line on standard error naming
@@ -36,7 +37,6 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from .arcs import (
-    ArcInsideDivisor,
     arc_contact,
     make_arc,
     make_general_arc,
@@ -139,11 +139,27 @@ def _field(payload: dict, key: str, check: str, kind: type = object, default=Non
     return _shaped(payload[key], kind, check, key)
 
 
-def _load_json(text_or_path: str, check: str, keys=None) -> dict:
-    """A JSON object, inline or in a file.  A malformed shape or a key outside
-    `keys`, when given, fails `check`; a blank argument, a path holding a NUL
-    byte, unreadable or unparsable text, and JSON nested too deep are
+def _parse_json(text: str, kind: type, check: str, what: str, keys=None):
+    """JSON text holding a `kind`, read by `_shaped`.  An object that repeats
+    a key fails `check`; unparsable text and JSON nested too deep are
     `input` errors."""
+
+    def unique(pairs):
+        if len({key for key, _ in pairs}) < len(pairs):
+            raise PreconditionError(check, "an object repeats a key")
+        return dict(pairs)
+
+    try:
+        payload = json.loads(text, object_pairs_hook=unique)
+    except RecursionError:
+        raise PreconditionError("input", "JSON nested too deeply") from None
+    return _shaped(payload, kind, check, what, keys)
+
+
+def _load_json(text_or_path: str, check: str, keys=None) -> dict:
+    """A JSON object, inline or in a file, read by `_parse_json`.  A blank
+    argument, a path holding a NUL byte and an unreadable file are `input`
+    errors."""
     text = text_or_path.strip()
     if not text:
         raise PreconditionError("input", "empty argument")
@@ -151,11 +167,16 @@ def _load_json(text_or_path: str, check: str, keys=None) -> dict:
         if "\0" in text_or_path:
             raise PreconditionError("input", "a path cannot hold a NUL byte")
         text = Path(text_or_path).read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
-    except RecursionError:
-        raise PreconditionError("input", "JSON nested too deeply") from None
-    return _shaped(payload, dict, check, "the argument", keys)
+    return _parse_json(text, dict, check, "the argument", keys)
+
+
+def _node_indices(values, check: str, what: str) -> list:
+    """Node indices written as integers; two that name one node ("1" and
+    "01") fail `check`."""
+    nodes = [_int_from_json(v, check) for v in values]
+    if len(set(nodes)) < len(nodes):
+        raise PreconditionError(check, f"{what} names a node twice")
+    return nodes
 
 
 # -- input object builders ---------------------------------------------------
@@ -195,12 +216,11 @@ def load_curve(text_or_path: str) -> RationalNodalCurve:
 
 def load_sheaf(text_or_path: str) -> TFSheaf:
     payload = _load_json(text_or_path, "sheaf", ("nonfree", "dL", "glue"))
-    gluing = {
-        _int_from_json(j, "sheaf"): rational_from_json(v)
-        for j, v in _field(payload, "glue", "sheaf", dict, {}).items()
-    }
+    glue = _field(payload, "glue", "sheaf", dict, {})
+    nodes = _node_indices(glue, "sheaf", "glue")
+    gluing = dict(zip(nodes, map(rational_from_json, glue.values())))
     return TFSheaf.make(
-        [_int_from_json(j, "sheaf") for j in _field(payload, "nonfree", "sheaf", list, [])],
+        _node_indices(_field(payload, "nonfree", "sheaf", list, []), "sheaf", "nonfree"),
         _int_from_json(_field(payload, "dL", "sheaf"), "sheaf"),
         gluing,
     )
@@ -210,9 +230,8 @@ def load_family(text_or_path: str, sheaf: TFSheaf, n: int) -> SheafFamily:
     payload = _load_json(text_or_path, "family", ("glueSeries", "moving"))
     glue = _field(payload, "glueSeries", "family", dict, {})
     given = {
-        _int_from_json(j, "family"):
-            parse_series(_field(glue, j, "family", str), ("t",), n).dense()
-        for j in glue
+        j: parse_series(_field(glue, key, "family", str), ("t",), n).dense()
+        for j, key in zip(_node_indices(glue, "family", "glueSeries"), glue)
     }
     gluing_series = {**dict(constant_family(sheaf, n).gluing_series), **given}
     moving = []
@@ -354,8 +373,8 @@ def cmd_arc(args) -> dict:
         element = _element(args, working)
         arc, divisor = make_arc(element.model, images, truncation), element.series
     contact = arc_contact(arc, divisor)
-    if isinstance(contact, ArcInsideDivisor):
-        return {"contact": "ArcInsideDivisor", "atLeast": contact.at_least, "N": truncation}
+    if contact is None:  # zero to N: the images are read to N, the divisor to working >= N
+        return {"contact": "ArcInsideDivisor", "atLeast": truncation + 1, "N": truncation}
     return {"contact": contact, "N": truncation}
 
 
@@ -435,9 +454,9 @@ def cmd_family(args) -> dict:
         family = make_minimal_family(curve, sheaf, args.N, args.seed)
         built = "minimal"
     aux = None
-    if args.aux is not None:
-        aux = json.loads(args.aux)
-        aux = [rational_from_json(v) for v in _shaped(aux, list, "aux-divisor", "--aux")]
+    if args.aux is not None:  # always inline, never a path
+        aux = _parse_json(args.aux, list, "aux-divisor", "--aux")
+        aux = [rational_from_json(v) for v in aux]
     try:
         result = family_cohomology(curve, family, seed=args.seed, aux_points=aux)
     except IndeterminateAtTruncation as exc:

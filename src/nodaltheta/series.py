@@ -29,10 +29,11 @@ truncation, dividing by t^nu is a slice, `mul_lists` multiplies, `sub_mul`
 computes a - q*b in one product, `invert_list` inverts a unit,
 `clear_denominators` scales a row of them to ints and `pull_back`
 substitutes arcs, whose images must have a zero constant term.  Arc
-sampling, `substitute`, a curve family's series, its integer gluing rows
-and the `smith` cores all use it.
-`PowerSeries.dense` converts at the boundaries: in `substitute`, in the
-`smith` adapters, and once per parsed series in `cli.load_family`.
+contact and sampling, `substitute` (the relation check of a general arc),
+a curve family's series, its integer gluing rows and the `smith` cores all
+use it.  `PowerSeries.dense` converts at the boundaries: in `arc_contact`
+and `substitute`, in the `smith` adapters, and once per parsed series in
+`cli.load_family`.
 """
 
 from __future__ import annotations
@@ -413,8 +414,8 @@ def pull_back(terms: Iterable, images: list, n: int) -> list:
     c * t^d times a product of shifts, needed only to degree n - d: a term
     with d > n adds nothing, one with d = n adds c times a product of linear
     coefficients, and a shift's e-th power is kept to degree n - e.
-    Unchecked: callers validate (`PowerSeries.substitute`) or build valid
-    input (arc sampling).
+    Unchecked: callers validate (`PowerSeries.substitute`,
+    `arcs.arc_contact`) or build valid input (arc sampling).
     """
     shifts = [image[1 : n + 1] for image in images]
     powers: dict = {}  # powers[i][k] = shifts[i]^(k+1) to degree n - k - 1

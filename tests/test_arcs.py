@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from nodaltheta import arcs
 from nodaltheta.arcs import (
     COEFF_BOX,
-    ArcInsideDivisor,
+    Arc,
     ArcSampleReport,
     ZArcNotFound,
     arc_contact,
@@ -21,6 +22,7 @@ from nodaltheta.arcs import (
     _first_nonzero,
     _random_list,
 )
+from nodaltheta.cli import main
 from nodaltheta.errors import PreconditionError
 from nodaltheta.localmodel import LocalModel, branch_orders, reduce
 from nodaltheta.multiplicity import RingSpec
@@ -110,9 +112,113 @@ class TestContact:
         model = LocalModel(1, 1)
         f = model.element("v1")
         arc = make_arc(model, {"u1": tser("t"), "v1": tser("0"), "w1": tser("0")}, 16)
-        contact = arc_contact(arc, f.series)
-        assert isinstance(contact, ArcInsideDivisor)
-        assert contact.at_least == 17
+        assert arc_contact(arc, f.series) is None
+
+
+def rational_image(rng, truncation):
+    """A random image with Fraction coefficients and zero constant term."""
+    return PowerSeries.univariate(
+        {d: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for d in range(1, truncation + 1)},
+        truncation,
+    )
+
+
+class TestContactMatchesSubstitute:
+    """`arc_contact` reads the order of `PowerSeries.substitute` to N, None
+    included, on seeded arcs and divisors."""
+
+    @staticmethod
+    def agree(arc, divisor):
+        contact = arc_contact(arc, divisor)
+        assert contact == divisor.substitute(arc.images, arc.truncation).order()
+        return contact
+
+    def test_model_arcs(self):
+        rng = random.Random(61)
+        contacts = []
+        for n, m in [(1, 0), (1, 1), (2, 1), (0, 2)]:
+            model = LocalModel(n, m)
+            for truncation in range(9):
+                draw = oracle_model_draw(model, truncation)
+                for _ in range(12):
+                    # divisor truncations 2 and 3 sit below most arcs' truncation
+                    f = random_divisor(rng, model, rng.choice([2, 3, truncation + 1, 12]))
+                    images = draw(rng)
+                    if rng.random() < 0.5:  # Fraction coefficients on every free side
+                        images = {
+                            v: image if image.is_zero() else rational_image(rng, truncation)
+                            for v, image in images.items()
+                        }
+                    arc = make_arc(model, images, truncation)
+                    cap = min(truncation, f.series.truncation)
+                    contacts.append((self.agree(arc, f.series), cap))
+        assert any(contact is None for contact, _ in contacts)
+        assert any(contact == cap for contact, cap in contacts)  # contact exactly N
+
+    @pytest.mark.parametrize("param", ["x:s^2,y:s^3", "x:1/4*s^2,y:1/8*s^3"])
+    def test_general_ring_arcs(self, param):
+        rng = random.Random(62)
+        contacts = set()
+        for truncation in range(2, 11):
+            spec = cusp_spec(truncation)
+            draw = oracle_parametrized_draw(spec, cusp_powers(param, truncation), truncation)
+            for text in ("x - z^3", "y - 2*z^3", "3/2*x - z^2", "y^2 - x^3"):
+                divisor = parse_series(text, XYZ, rng.choice([2, truncation]))
+                arc = make_general_arc(spec, draw(rng), truncation)
+                contacts.add(self.agree(arc, divisor))
+        assert None in contacts and 2 in contacts and 3 in contacts
+
+    @pytest.mark.parametrize("n", [7, 9, 16])
+    def test_contact_exactly_n_and_inside(self, n):
+        model = LocalModel(0, 2)
+        f = model.element("w1^2 - w2^3", n)
+        w2 = tser("t^2", n)
+        # w1 = t^3 + 5 t^(n-3): w1^2 - w2^3 = 10 t^n + O(t^(n+1))
+        near = make_arc(model, {"w1": tser(f"t^3 + 5/7*t^{n - 3}", n), "w2": w2}, n)
+        assert self.agree(near, f.series) == n
+        inside = make_arc(model, {"w1": tser("t^3", n), "w2": w2}, n)
+        assert self.agree(inside, f.series) is None
+        # known only to degree 2, w1^2 is zero along an arc with no t term
+        low = model.element("w1^2", 2)
+        assert self.agree(inside, low.series) is None
+
+
+class TestContactPreconditions:
+    def test_zero_divisor(self):
+        model = LocalModel(1, 1)
+        arc = make_arc(model, {"u1": tser("0"), "v1": tser("t"), "w1": tser("t")}, 16)
+        with pytest.raises(PreconditionError) as info:
+            arc_contact(arc, PowerSeries.zero(model.variables, 16))
+        assert info.value.name == "zero-series"
+
+    def test_divisor_off_the_arc(self):
+        arc = make_arc(LocalModel(1, 0), {"u1": tser("0"), "v1": tser("t")}, 16)
+        with pytest.raises(PreconditionError) as info:
+            arc_contact(arc, LocalModel(1, 1).element("v1 + w1").series)
+        assert info.value.name == "substitute"
+
+    def test_unvalidated_image_with_a_constant_term(self):
+        # `pull_back` would drop the constant silently
+        arc = Arc({"w1": tser("1 + t")}, 16)
+        with pytest.raises(PreconditionError) as info:
+            arc_contact(arc, LocalModel(0, 1).element("w1").series)
+        assert info.value.name == "substitute"
+
+    def test_images_over_two_variables(self):
+        s = parse_series("s", ("s",), 16)
+        calls = [
+            lambda: make_arc(LocalModel(0, 2), {"w1": tser("t"), "w2": s}, 16),
+            lambda: make_general_arc(RingSpec(XYZ), {"x": tser("t"), "y": s, "z": tser("0")}, 16),
+            lambda: sample_parametrized_arcs_check(
+                cusp_spec(), cusp_spec().divisor,
+                {"x": parse_series("s^2", ("s",), 16), "y": parse_series("r^3", ("r",), 16)},
+                10, 16, 0,
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(PreconditionError, match="more than one variable") as info:
+                call()
+            assert info.value.name == "arc"
 
 
 class TestMinimalArc:
@@ -588,7 +694,7 @@ class TestContactLadder:
         spec = RingSpec(
             XYZ, (parse_series("y^2 - x^3", XYZ, 16),), parse_series("y - 2*z^3", XYZ, 16)
         )
-        terms = _compile(spec.divisor, XYZ)
+        terms = _compile(spec.divisor)
         # s = t + t^2, x = s^2, y = s^3, z = t: y - 2 z^3 = -t^3 + ...
         arc = [
             self.series_list({2: 1, 3: 2, 4: 1}, 16),
@@ -608,7 +714,7 @@ class TestContactLadder:
     def test_unit_divisor_has_order_zero(self, monkeypatch):
         spec = RingSpec(XYZ)
         divisor = parse_series("1 + x", XYZ, 8)
-        terms = _compile(divisor, XYZ)
+        terms = _compile(divisor)
         arc = [self.series_list({1: 3}, 8)] * 3
         assert self.climb(monkeypatch, terms, arc, 0, 8) == (0, [1])
         report = sample_parametrized_arcs_check(spec, divisor, {}, 10, 8, seed=2)
@@ -617,18 +723,36 @@ class TestContactLadder:
     def test_truncation_zero(self, monkeypatch):
         model = LocalModel(1, 1)
         f = model.element("v1 - u1^2", 8)
-        terms = _compile(f.series, model.variables)
+        terms = _compile(f.series)
         assert self.climb(monkeypatch, terms, [[0]] * 3, 1, 0) == (None, [0])
-        unit = _compile(model.element("2 + w1", 8).series, model.variables)
+        unit = _compile(model.element("2 + w1", 8).series)
         assert self.climb(monkeypatch, unit, [[0]] * 3, 0, 0) == (0, [0])
         report = sample_arcs_check(f, 10, 0, seed=4)
         assert (report.used, report.skipped_inside) == (0, 10)
         assert report == oracle_report(oracle_model_draw(model, 0), f.series, 10, 0, 4)
 
+    @pytest.mark.parametrize(
+        "shape, text", [("n=1,m=1", "v1 - u1^2"), ("n=1,m=0", "u1^2 + v1^3"),
+                        ("n=2,m=1", "u1*u2 + w1^3"), ("n=1,m=1", "w1^3 + 1/2*u1^4")],
+    )
+    def test_minimal_arcs_resolve_at_the_first_rung(self, monkeypatch, capsys, shape, text):
+        # a generic direction makes the coefficient of t^ord nonzero: one
+        # pull-back, at k = ord f, on the library call and through the CLI
+        n, m = (int(part[2:]) for part in shape.split(","))
+        element = LocalModel(n, m).element(text)
+        order = element.order()
+        minimal, rungs = self.sampled_rungs(monkeypatch, minimal_arc, element, 16, 0)
+        assert (minimal.contact, rungs) == (order, [order])
+        argv = ["arc", "--model", shape, "--f", text, "--minimal"]
+        code, rungs = self.sampled_rungs(monkeypatch, main, argv)
+        assert (code, json.loads(capsys.readouterr().out)["contact"], rungs) == (0, order, [order])
+        through_z, rungs = self.sampled_rungs(monkeypatch, minimal_arc_through_Z, element, 16, 0)
+        assert rungs == ([] if isinstance(through_z, ZArcNotFound) else [order])
+
     @pytest.mark.parametrize("n, rungs", [(16, [2, 4, 8, 16]), (13, [2, 4, 8, 13])])
     def test_inside_the_divisor_only_up_to_the_last_rung(self, monkeypatch, n, rungs):
         model = LocalModel(0, 2)
-        terms = _compile(model.element("w1^2 - w2^3", n).series, model.variables)
+        terms = _compile(model.element("w1^2 - w2^3", n).series)
         w2 = self.series_list({2: 1}, n)
         # w1 = t^3 + 5 t^(n-3): w1^2 - w2^3 = 10 t^n + O(t^(n+1))
         near = [self.series_list({3: 1, n - 3: 5}, n), w2]

@@ -26,6 +26,7 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "golden"
 
 CURVE_G1 = '{"nodes":[[0,1]]}'
+THETA_G2 = ["theta", "--curve", '{"nodes":[[0,1],[2,3]]}', "--sheaf"]
 SHEAF_TRIVIAL = '{"nonfree":[],"dL":0,"glue":{"0":1}}'
 FAMILY = ["family", "--curve", CURVE_G1, "--sheaf", SHEAF_TRIVIAL, "--family"]
 # argv prefixes that end with a flag taking a JSON object
@@ -548,6 +549,35 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert diagnostic(err) == "input"
 
+    def test_aux_nested_past_the_recursion_limit_is_exit_2(self, capsys):
+        code, out, err = run(capsys, FAMILY[:5] + ["--aux", "[" * 100000])
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == "input"
+
+    @pytest.mark.parametrize(
+        "argv, check",
+        [
+            (THETA_G2 + ['{"dL":1,"glue":{"0":1,"1":1,"01":2}}'], "sheaf"),
+            (THETA_G2 + ['{"dL":1,"glue":{"0":1,"1":1,"1":2}}'], "sheaf"),
+            (THETA_G2 + ['{"nonfree":[1,1],"dL":0,"glue":{"0":1}}'], "sheaf"),
+            (THETA_G2 + ['{"nonfree":[1,"1"],"dL":0,"glue":{"0":1}}'], "sheaf"),
+            (FAMILY + ['{"glueSeries":{"0":"1+t","00":"1"}}'], "family"),
+            (FAMILY + ['{"glueSeries":{"0":"1+t","0":"1"}}'], "family"),
+        ],
+        ids=["glue-01", "glue-repeated", "nonfree-repeated", "nonfree-1-and-string",
+             "glueSeries-00", "glueSeries-repeated"],
+    )
+    def test_two_keys_that_name_one_node_are_exit_2(self, capsys, argv, check):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert diagnostic(err) == check
+
+    def test_one_key_per_node_is_read(self, capsys):
+        # "01" alone names node 1: the sheaf with glue 1 at both nodes is on theta
+        sheaf = '{"dL":1,"glue":{"0":1,"01":1}}'
+        code, out, _ = run(capsys, THETA_G2 + [sheaf])
+        assert (code, json.loads(out)["onTheta"]) == (0, True)
+
     @pytest.mark.parametrize("flag", sorted(JSON_FLAGS))
     def test_path_with_a_nul_byte_is_exit_2(self, capsys, flag):
         code, out, err = run(capsys, JSON_FLAGS[flag] + ["no\0such.json"])
@@ -660,11 +690,11 @@ class TestClosedStdout:
     def test_pipe_closed_after_one_byte(self):
         # about 150 KB of report, more than a pipe buffers
         argv = ["mult", "--model", "n=13,m=0", "--f", "u1+v1"]
-        process = self.spawn(argv, stdout=subprocess.PIPE)
-        assert process.stdout.read(1) == b"{"
-        process.stdout.close()
-        err = process.stderr.read()
-        assert (process.wait(timeout=30), err) == (EXIT_STDOUT_CLOSED, b"")
+        with self.spawn(argv, stdout=subprocess.PIPE) as process:  # closes both pipes
+            assert process.stdout.read(1) == b"{"
+            process.stdout.close()
+            err = process.stderr.read()
+            assert (process.wait(timeout=30), err) == (EXIT_STDOUT_CLOSED, b"")
 
 
 class TestGoldenSuite:
